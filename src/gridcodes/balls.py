@@ -1,12 +1,17 @@
 """Exact Manhattan ball sizes in a grid.
 
-The minimum ball size over all centers (attained at the corners) is computed
-by an inclusion-exclusion over the coordinate directions in which the ball
-overflows the box.  The maximum (attained at the central points) follows a
-recursion that peels the ball into the union of its axis sections plus, when
-the radius reaches the dimension, one piece per orthant; each orthant piece
-is a corner-type sub-problem.  Both are cross-checked against brute-force
-enumeration in the test suite.
+All ball sizes come from one kernel.  Along an axis of side m, a center at
+offset c has (k <= c) + (k <= m-1-c) points at each distance k >= 1, so the
+product over the axes of 1 + sum_k ((k <= c) + (k <= m-1-c)) z^k counts the
+box by distance from the center, and its prefix sums are the ball sizes at
+every radius.  ``eta`` (corner centers, the smallest balls), ``gamma``
+(central centers, the largest) and ``ball_size_at`` all read from it.
+
+The paper's formulas stay as the reproduction path that the tests compare
+with the kernel: the corner size by inclusion-exclusion over the directions
+in which the ball overflows the box (``_eta``), and the size at any center by
+the recursion over axis sections and corner-type orthant pieces
+(``_ball_at``), whose pieces the decompositions below enumerate.
 """
 
 from __future__ import annotations
@@ -89,6 +94,15 @@ def exclusion_levels(dims: tuple[int, ...], r: int) -> list[ExclusionIndex]:
 
 @dataclass(frozen=True)
 class BallSizeReport:
+    """One exact ball size; ``value`` comes from the generating-function kernel.
+
+    ``path`` names the regime of the paper's formula for these inputs, not
+    the code that ran: "formula-direct" (one point, the whole box, or a
+    corner ball that overflows no side), "formula-inclusion-exclusion",
+    "gamma-trivial-small" (the ball fits in the box), "gamma-trivial-large"
+    (it covers the box) or "gamma-recursive" (sections and orthants).
+    """
+
     grid: Grid
     radius: int
     kind: str  # "eta" | "gamma" | "at-point"
@@ -127,6 +141,89 @@ def _reduced(dims) -> tuple[int, ...]:
 
 
 @cache
+def _profile(axes: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """Ball sizes at radii 0, 1, ... until the ball holds the whole box.
+
+    ``axes`` holds one (side m, offset c) pair per axis with m > 1, where c
+    is the center's distance to the nearer end of the axis.
+    """
+    counts = [1]  # counts[k]: points of the box at distance k from the center
+    for m, c in axes:
+        axis = [1] + [(k <= c) + (k <= m - 1 - c) for k in range(1, m - c)]
+        product = [0] * (len(counts) + len(axis) - 1)
+        for i, a in enumerate(counts):
+            for j, b in enumerate(axis):
+                product[i + j] += a * b
+        counts = product
+    return tuple(itertools.accumulate(counts))
+
+
+def _ball(dims, center, r: int) -> int:
+    """Size of the radius-r ball around ``center`` in the box ``dims``.
+
+    Reflecting an axis or permuting the axes keeps the ball size, so the
+    cache key is the sorted tuple of (side, distance to the nearer end).
+    """
+    if r < 0:
+        return 0
+    axes = sorted((m, min(c, m - 1 - c)) for m, c in zip(dims, center) if m > 1)
+    sizes = _profile(tuple(axes))
+    return sizes[min(r, len(sizes) - 1)]
+
+
+def eta_value(dims, r: int) -> int:
+    """Minimum radius-r ball size over all centers: the size at a corner."""
+    return _ball(dims, [0] * len(dims), r)
+
+
+def eta(grid: Grid, r: int) -> BallSizeReport:
+    """Exact minimum radius-r ball size over all centers of the grid."""
+    if r < 0:
+        raise DomainError(f"radius {r} must be >= 0")
+    dims = _reduced(grid.dims)
+    if r >= grid.diameter() or r < min(dims):
+        path = "formula-direct"
+    else:
+        path = "formula-inclusion-exclusion"
+    return BallSizeReport(grid, r, "eta", eta_value(grid.dims, r), path)
+
+
+def gamma_value(dims, r: int) -> int:
+    """Maximum radius-r ball size over all centers: the size at the middle."""
+    return _ball(dims, [(m - 1) // 2 for m in dims], r)
+
+
+def gamma(grid: Grid, r: int) -> BallSizeReport:
+    """Exact maximum radius-r ball size over all centers of the grid."""
+    if r < 0:
+        raise DomainError(f"radius {r} must be >= 0")
+    dims = _reduced(grid.dims)
+    if not dims or r <= min((m - 1) // 2 for m in dims):
+        path = "gamma-trivial-small"
+    elif r >= sum(m // 2 for m in dims):
+        path = "gamma-trivial-large"
+    else:
+        path = "gamma-recursive"
+    return BallSizeReport(grid, r, "gamma", gamma_value(grid.dims, r), path)
+
+
+def ball_size_at(grid: Grid, x: Point, r: int) -> BallSizeReport:
+    """Exact ball size around an arbitrary center, without enumeration."""
+    x = grid.require(x)
+    if r < 0:
+        raise DomainError(f"radius {r} must be >= 0")
+    if r == 0 or r >= grid.diameter():
+        path = "formula-direct"
+    else:
+        path = "formula-inclusion-exclusion"
+    value = _ball(grid.dims, x, r)
+    return BallSizeReport(grid, r, "at-point", value, path, center=x)
+
+
+# The paper's recursions: the reproduction path the tests check the kernel by.
+
+
+@cache
 def _eta(dims: tuple[int, ...], r: int) -> int:
     """Minimum ball size for the reduced, sorted dims tuple; 0 for r < 0."""
     if r < 0:
@@ -142,41 +239,7 @@ def _eta(dims: tuple[int, ...], r: int) -> int:
     for level in exclusion_levels(dims, r):
         sign = 1 if level.k % 2 == 1 else -1
         value -= sign * sum(simplex_count(n, t) for t in level.slacks)
-    if len(set(dims)) == 1:
-        # Equal side lengths admit a binomial shortcut; it must agree with
-        # the general inclusion-exclusion.
-        m = dims[0]
-        cube = simplex_count(n, r)
-        for k in range(1, r // m + 1):
-            sign = 1 if k % 2 == 1 else -1
-            cube -= sign * math.comb(n, k) * simplex_count(n, r - k * m)
-        assert cube == value, (dims, r, cube, value)
     return value
-
-
-def eta_value(dims, r: int) -> int:
-    return _eta(tuple(sorted(_reduced(dims))), r)
-
-
-def eta(grid: Grid, r: int) -> BallSizeReport:
-    """Exact minimum radius-r ball size over all centers of the grid."""
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
-    dims = _reduced(grid.dims)
-    if r >= grid.diameter() or not dims:
-        return BallSizeReport(grid, r, "eta", grid.volume(), "formula-direct")
-    if r < min(dims):
-        value = simplex_count(len(dims), r)
-        return BallSizeReport(grid, r, "eta", value, "formula-direct")
-    return BallSizeReport(
-        grid, r, "eta", eta_value(grid.dims, r), "formula-inclusion-exclusion"
-    )
-
-
-def _innermost_rep(dims: tuple[int, ...]) -> tuple[int, ...]:
-    # Any innermost point gives the same ball size; fix the low one so the
-    # orthant sub-grids are reproducible.
-    return tuple((m - 1) // 2 for m in dims)
 
 
 def _orthant_signs(dims, x):
@@ -191,57 +254,6 @@ def _orthant_signs(dims, x):
 def _orthant_side(m: int, xi: int, bi: int) -> int:
     """Largest coordinate of the orthant piece after folding onto N_{r-n}."""
     return abs(m - (xi + 2)) if bi == 1 else abs(xi - 1)
-
-
-@cache
-def _gamma(dims: tuple[int, ...], r: int) -> int:
-    """Maximum ball size for the reduced, sorted dims tuple."""
-    n = len(dims)
-    if n == 0:
-        return 1
-    if r <= min((m - 1) // 2 for m in dims):
-        return cross_polytope_size(n, r)
-    if r >= sum(m // 2 for m in dims):
-        return math.prod(dims)
-    x = _innermost_rep(dims)
-    if n == 1:
-        return 1 + sum(
-            _eta((_orthant_side(dims[0], x[0], b[0]) + 1,), r - 1)
-            for b in _orthant_signs(dims, x)
-        )
-    total = (-1) ** (n + 1)
-    for k in range(1, n):
-        sign = 1 if k % 2 == 1 else -1
-        for drop in itertools.combinations(range(n), k):
-            sub = tuple(m for i, m in enumerate(dims) if i not in drop)
-            total += sign * _gamma(tuple(sorted(_reduced(sub))), r)
-    if r >= n:
-        for b in _orthant_signs(dims, x):
-            sub = tuple(
-                _orthant_side(m, xi, bi) + 1 for m, xi, bi in zip(dims, x, b)
-            )
-            total += _eta(tuple(sorted(_reduced(sub))), r - n)
-    return total
-
-
-def gamma_value(dims, r: int) -> int:
-    return _gamma(tuple(sorted(_reduced(dims))), r)
-
-
-def gamma(grid: Grid, r: int) -> BallSizeReport:
-    """Exact maximum radius-r ball size over all centers of the grid."""
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
-    dims = _reduced(grid.dims)
-    if not dims or r <= min((m - 1) // 2 for m in dims):
-        n = max(len(dims), 1)
-        value = cross_polytope_size(n, r) if dims else 1
-        return BallSizeReport(grid, r, "gamma", value, "gamma-trivial-small")
-    if r >= sum(m // 2 for m in dims):
-        return BallSizeReport(grid, r, "gamma", grid.volume(), "gamma-trivial-large")
-    return BallSizeReport(
-        grid, r, "gamma", gamma_value(grid.dims, r), "gamma-recursive"
-    )
 
 
 @cache
@@ -279,23 +291,6 @@ def _ball_at(dims: tuple[int, ...], x: tuple[int, ...], r: int) -> int:
             )
             total += _eta(tuple(sorted(_reduced(sub))), r - n)
     return total
-
-
-def ball_size_at(grid: Grid, x: Point, r: int) -> BallSizeReport:
-    """Exact ball size around an arbitrary center, without enumeration."""
-    x = grid.require(x)
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
-    if r == 0:
-        return BallSizeReport(grid, r, "at-point", 1, "formula-direct", center=x)
-    if r >= grid.diameter():
-        return BallSizeReport(
-            grid, r, "at-point", grid.volume(), "formula-direct", center=x
-        )
-    value = _ball_at(grid.dims, x, r)
-    return BallSizeReport(
-        grid, r, "at-point", value, "formula-inclusion-exclusion", center=x
-    )
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, GridCodesError
 
 #: Largest cyclic-code order the pairwise distance scans accept by default.
 DEFAULT_ORDER_BUDGET = 5000
@@ -71,6 +71,7 @@ class CyclicDerived:
     cosupport_sets: tuple[frozenset, ...]  # Y: complements of supports of powers
 
 
+@cache
 def derive(spec: CyclicCodeSpec) -> CyclicDerived:
     support = tuple(i for i, e in enumerate(spec.generator_exponents) if e != 0)
     if len(support) > MAX_SUPPORT:
@@ -141,13 +142,11 @@ def min_hamming_distance(
             sum(1 for c in codeword(spec, k) if c != 0)
             for k in range(1, derived.order)
         ]
-        assert d_h == min(supports) and delta_h == max(supports), (
-            spec,
-            d_h,
-            delta_h,
-            min(supports),
-            max(supports),
-        )
+        if (d_h, delta_h) != (min(supports), max(supports)):
+            raise GridCodesError(
+                f"closed form gives Hamming distances {(d_h, delta_h)}, the "
+                f"power scan {(min(supports), max(supports))}, for {spec}"
+            )
     return d_h, delta_h
 
 
@@ -247,7 +246,7 @@ def _pairwise_extremes(rows: np.ndarray, chunk: int = 512) -> tuple[int, int]:
 def bound_chain(
     spec: CyclicCodeSpec, order_budget: int = DEFAULT_ORDER_BUDGET
 ) -> DistanceChain:
-    """Exact distance parameters of the cyclic code, with the chain asserted.
+    """Exact distance parameters of the cyclic code, with the chain checked.
 
     Hamming and Lee minima shift with the group action, so scanning the
     powers against the identity suffices; the Manhattan minima (in both the
@@ -298,6 +297,6 @@ def bound_chain(
         delta_upper=delta_upper,
     )
     a, b, c, d = chain.links
-    assert a <= b <= c <= d <= chain.delta_upper, chain
-    assert delta_man <= delta_upper, chain
+    if not (a <= b <= c <= d <= delta_upper and delta_man <= delta_upper):
+        raise GridCodesError(f"distance chain out of order: {chain}")
     return chain

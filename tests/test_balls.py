@@ -21,7 +21,17 @@ from gridcodes import (
     outermost_set,
     simplex_count,
 )
-from gridcodes.balls import orthant_subgrid_dims
+from gridcodes.balls import _ball_at, _eta, orthant_subgrid_dims
+
+from conftest import random_grid_family
+
+
+def _cube_eta(n, m, r):
+    """Corner ball size of the cube [0, m-1]^n by the binomial shortcut."""
+    return sum(
+        (-1) ** k * math.comb(n, k) * simplex_count(n, r - k * m)
+        for k in range(r // m + 1)
+    )
 
 
 class TestCountingPrimitives:
@@ -120,6 +130,18 @@ class TestEtaGamma:
                 ]
                 assert eta_value(dims, r) == min(sizes), (dims, r)
                 assert gamma_value(dims, r) == max(sizes), (dims, r)
+        # The paper's recursions (the reproduction path) agree with the
+        # kernel; on equal sides the corner size has a binomial shortcut too.
+        cubes = [(7, 7), (3, 3, 3), (4, 4, 4, 4), (2,) * 6, (5,) * 5]
+        for dims in sorted(set(random_grid_family())) + cubes:
+            reduced = tuple(sorted(m for m in dims if m > 1))
+            middle = tuple((m - 1) // 2 for m in reduced)
+            for r in range(Grid(dims).diameter() + 2):
+                assert _eta(reduced, r) == eta_value(dims, r), (dims, r)
+                assert _ball_at(reduced, middle, r) == gamma_value(dims, r), (dims, r)
+                if len(set(reduced)) == 1:
+                    cube = _cube_eta(len(reduced), reduced[0], r)
+                    assert cube == _eta(reduced, r), (dims, r)
 
     def test_monotone_and_saturating(self):
         dims = (4, 5, 3)
@@ -150,6 +172,14 @@ class TestBallSizeAt:
                 r = rng.randrange(g.diameter() + 2)
                 want = len(enumerate_ball(g, BallSpec(x, r)))
                 assert ball_size_at(g, x, r).value == want, (dims, x, r)
+        # The section/orthant recursion agrees with the kernel.
+        for dims in sorted(set(random_grid_family())):
+            g = Grid(dims)
+            for _ in range(2):
+                x = tuple(rng.randrange(m) for m in dims)
+                for r in range(g.diameter() + 2):
+                    want = _ball_at(dims, x, r)
+                    assert ball_size_at(g, x, r).value == want, (dims, x, r)
 
     def test_worked_example(self):
         g = Grid((5, 2))

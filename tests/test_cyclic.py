@@ -8,10 +8,12 @@ from gridcodes import (
     CyclicCodeSpec,
     DomainError,
     Grid,
+    GridCodesError,
     bound_chain,
     codeword,
     codeword_distance,
     codewords,
+    cyclic,
     derive,
     manhattan_distance,
     min_hamming_distance,
@@ -96,6 +98,12 @@ class TestHammingDistances:
             min_hamming_distance(spec, verify=True)
             checked += 1
 
+    def test_verify_raises_when_scan_disagrees(self, monkeypatch):
+        spec = CyclicCodeSpec((4, 6), (1, 2))
+        monkeypatch.setattr(cyclic, "codeword", lambda spec, k: (0,) * spec.n)
+        with pytest.raises(GridCodesError):
+            min_hamming_distance(spec, verify=True)
+
     def test_order_two_code(self):
         spec = CyclicCodeSpec((4, 4), (2, 2))
         assert derive(spec).order == 2
@@ -105,8 +113,10 @@ class TestHammingDistances:
 class TestCodewordDistance:
     def test_worked_example(self):
         spec = CyclicCodeSpec((8, 8, 8, 8), (2, 2, 4, 4))
+        derive.cache_clear()
         assert codeword_distance(spec, 0, 1) == 12
         assert codeword_distance(spec, 0, 2) == 8
+        assert derive.cache_info().misses == 1
 
     def test_equals_exponent_vector_distance(self):
         rng = random.Random(31)
