@@ -2,13 +2,17 @@
 
 The exact search is a branch-and-bound maximum independent set on the
 conflict graph (points closer than the design distance are in conflict),
-with a clique-partition upper bound and bitset candidate sets.  The greedy
-search adds points in scan order and is maximal by construction, which is
-exactly the (d-1)-covering property.
+with a clique-partition upper bound and candidate sets held as Python-int
+bitsets.  The greedy search adds points in scan order and is maximal by
+construction, which is exactly the (d-1)-covering property.
+
+Every multi-point distance here (the conflict graph, the covering scan and
+the greedy scan) comes from the one kernel, ``grid.distance_block``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -21,10 +25,11 @@ from .balls import eta_value
 from .bounds import hamming_bound
 from .errors import BudgetError, DomainError
 from .grid import (
+    CHUNK,
     DEFAULT_BUDGET,
     Grid,
     Point,
-    metric_function,
+    distance_block,
     pairwise_distance_extremes,
 )
 
@@ -109,12 +114,11 @@ def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
             f"covering radius needs a full scan of {grid.volume()} points, "
             f"budget is {budget}"
         )
+    points = grid.points()
     worst = 0
-    for p in grid.points():
-        best = min(
-            sum(abs(a - b) for a, b in zip(p, c)) for c in code.codewords
-        )
-        worst = max(worst, best)
+    while block := list(itertools.islice(points, CHUNK)):
+        nearest = distance_block(block, code.codewords, grid.dims, "manhattan")
+        worst = max(worst, int(nearest.min(axis=1).max()))
     return worst
 
 
@@ -165,31 +169,24 @@ def greedy_code(grid: Grid, distance: int, order=None) -> GridCode:
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
+    arr = np.array(pts, dtype=np.int64)
+    # free[j]: pts[j] is at distance >= distance from every chosen point.  A
+    # repeated point is at distance 0 from itself, so it is never chosen twice.
+    free = np.ones(len(pts), dtype=bool)
     chosen: list[Point] = []
-    for p in pts:
-        if all(
-            sum(abs(a - b) for a, b in zip(p, c)) >= distance for c in chosen
-        ):
-            chosen.append(p)
+    while free.any():
+        i = int(free.argmax())
+        chosen.append(pts[i])
+        far = distance_block(arr[i : i + 1], arr[i:], grid.dims, "manhattan")[0]
+        free[i:] &= far >= distance
     return GridCode(grid, tuple(chosen))
 
 
 @lru_cache(maxsize=8)
 def _distance_matrix(dims: tuple[int, ...], metric: str):
     """All pairwise distances between the grid points, in lexicographic order."""
-    grid = Grid(dims)
-    pts = list(grid.points())
-    arr = np.array(pts, dtype=np.int16)
-    diff = np.abs(arr[:, None, :] - arr[None, :, :])
-    if metric == "manhattan":
-        full = diff.sum(axis=2)
-    elif metric == "lee":
-        full = np.minimum(diff, np.array(dims, dtype=np.int16) - diff).sum(axis=2)
-    elif metric == "hamming":
-        full = (diff != 0).sum(axis=2)
-    else:
-        metric_function(metric)  # raises the canonical DomainError
-    return pts, full.astype(np.int32)
+    pts = list(Grid(dims).points())
+    return pts, distance_block(pts, pts, dims, metric)
 
 
 def _conflict_graph(grid: Grid, distance: int, metric: str):

@@ -5,28 +5,23 @@ generating set implied by the component orders; the code generated by one
 element is materialized through modular arithmetic only, never as abstract
 group elements.  The minimum/maximum Hamming distances come from the family
 of coordinate sets that can vanish simultaneously on a non-identity power.
+The k-th power vanishes exactly on V(k) = {i : m̂ᵢ | k}, so these sets are the
+closed sets of the lattice of lcms of the refined orders m̂ᵢ below the code's
+order; ``derive`` walks that lattice up from the empty set.  The Lee and
+Manhattan distances of the chain come from the grid's distance kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
-
-import numpy as np
+from functools import cache
 
 from .errors import BudgetError, DomainError, GridCodesError
+from .grid import Grid, distance_block, pairwise_distance_extremes
 
 #: Largest cyclic-code order the pairwise distance scans accept by default.
 DEFAULT_ORDER_BUDGET = 5000
-
-#: Support sizes past this make the vanishing-set enumeration intractable.
-MAX_SUPPORT = 24
-
-
-def _lcm(values) -> int:
-    return reduce(math.lcm, values, 1)
 
 
 @dataclass(frozen=True)
@@ -74,28 +69,26 @@ class CyclicDerived:
 @cache
 def derive(spec: CyclicCodeSpec) -> CyclicDerived:
     support = tuple(i for i, e in enumerate(spec.generator_exponents) if e != 0)
-    if len(support) > MAX_SUPPORT:
-        raise BudgetError(
-            f"support size {len(support)} exceeds the limit of {MAX_SUPPORT}"
-        )
     gcds = {i: math.gcd(spec.generator_exponents[i], spec.orders[i]) for i in support}
     cofactors = {i: spec.generator_exponents[i] // gcds[i] for i in support}
     hat_sides = {i: spec.orders[i] // gcds[i] for i in support}
-    order = _lcm(hat_sides.values())
+    order = math.lcm(*hat_sides.values())
 
-    vanishing: list[frozenset] = [frozenset()]
-    for k in range(1, len(support) + 1):
-        for combo in itertools.combinations(support, k):
-            sub_order = _lcm(hat_sides[i] for i in combo)
-            if sub_order >= order:
-                continue
-            # Maximal: no further support index vanishes at the same order.
-            if all(
-                sub_order % hat_sides[j] != 0
-                for j in support
-                if j not in combo
-            ):
-                vanishing.append(frozenset(combo))
+    # found maps each closed set V(t) = {i : m̂ᵢ | t}, t < order, to its lcm t.
+    # Adding one index and closing again reaches every such set from the
+    # empty one, through closed sets whose lcms divide its own.
+    found = {frozenset(): 1}
+    stack = [frozenset()]
+    while stack:
+        base = stack.pop()
+        for j in support:
+            t = math.lcm(found[base], hat_sides[j])
+            if t < order:
+                closed = frozenset(i for i in support if t % hat_sides[i] == 0)
+                if closed not in found:
+                    found[closed] = t
+                    stack.append(closed)
+    vanishing = sorted(found, key=lambda s: (len(s), sorted(s)))
 
     non_support = frozenset(range(spec.n)) - frozenset(support)
     cosupport = tuple(j | non_support for j in vanishing)
@@ -215,34 +208,6 @@ class DistanceChain:
         }
 
 
-def _lee(a, b, sides) -> int:
-    return sum(min(abs(x - y), m - abs(x - y)) for x, y, m in zip(a, b, sides))
-
-
-def _pairwise_extremes(rows: np.ndarray, chunk: int = 512) -> tuple[int, int]:
-    """(min, max) Manhattan distance over all distinct pairs of rows."""
-    rows = rows.astype(np.int32)
-    count = len(rows)
-    big = np.iinfo(np.int32).max
-    lo, hi = None, 0
-    for start in range(0, count, chunk):
-        block = rows[start : start + chunk]
-        dists = np.abs(block[:, None, :] - rows[None, :, :]).sum(
-            axis=2, dtype=np.int32
-        )
-        # Only pairs (i, j) with j > i; blank out the rest for the minimum.
-        mask = (
-            np.arange(count)[None, :]
-            <= np.arange(start, start + len(block))[:, None]
-        )
-        hi = max(hi, int(dists.max(initial=0)))
-        dists[mask] = big
-        block_min = int(dists.min(initial=big))
-        if lo is None or block_min < lo:
-            lo = block_min
-    return lo, hi
-
-
 def bound_chain(
     spec: CyclicCodeSpec, order_budget: int = DEFAULT_ORDER_BUDGET
 ) -> DistanceChain:
@@ -262,23 +227,15 @@ def bound_chain(
         )
 
     d_h, delta_h = min_hamming_distance(spec, derived)
-    identity = codeword(spec, 0)
-    d_lee = min(
-        _lee(identity, codeword(spec, k), spec.orders) for k in range(1, order)
+    hat_sides = tuple(derived.hat_sides[i] for i in derived.support)
+    words = [codeword(spec, k) for k in range(order)]
+    hat_words = [hat_coordinates(derived, k) for k in range(order)]
+    d_lee = int(distance_block(words[:1], words[1:], spec.orders, "lee").min())
+    hat_d_lee = int(
+        distance_block(hat_words[:1], hat_words[1:], hat_sides, "lee").min()
     )
-    hat_sides = [derived.hat_sides[i] for i in derived.support]
-    hat_identity = hat_coordinates(derived, 0)
-    hat_d_lee = min(
-        _lee(hat_identity, hat_coordinates(derived, k), hat_sides)
-        for k in range(1, order)
-    )
-
-    words = np.array([codeword(spec, k) for k in range(order)], dtype=np.int64)
-    hat_words = np.array(
-        [hat_coordinates(derived, k) for k in range(order)], dtype=np.int64
-    )
-    d_man, delta_man = _pairwise_extremes(words)
-    hat_d_man, _ = _pairwise_extremes(hat_words)
+    d_man, delta_man = pairwise_distance_extremes(Grid(spec.orders), words)
+    hat_d_man, _ = pairwise_distance_extremes(Grid(hat_sides), hat_words)
 
     delta_upper = sum(
         spec.orders[i] - derived.gcds[i] for i in derived.support

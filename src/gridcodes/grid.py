@@ -3,6 +3,12 @@
 Points are plain tuples of ints, which gives structural equality and a
 total lexicographic order for free.  All counts use Python's exact
 integers, so nothing here can silently overflow.
+
+Every distance between many points comes from one numpy kernel,
+``distance_block``, which sums the per-axis distances; the pairwise,
+covering, greedy, conflict-graph and cyclic-chain scans call it in blocks of
+at most ``CHUNK`` rows.  The per-pair functions serve single pairs and are
+the tests' reference for the kernel.
 """
 
 from __future__ import annotations
@@ -10,6 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetError, DomainError
 
@@ -19,6 +27,9 @@ Point = tuple[int, ...]
 DEFAULT_BUDGET = 10_000_000
 
 METRICS = ("manhattan", "lee", "hamming")
+
+#: Rows per block of the multi-point scans; a block holds CHUNK x columns int64s.
+CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -185,18 +196,47 @@ def enumerate_zn_ball(n: int, center: Point, radius: int) -> list[Point]:
     return out
 
 
+def distance_block(rows, cols, dims, metric: str) -> np.ndarray:
+    """The len(rows) x len(cols) matrix of distances between two point lists.
+
+    Points are not validated; callers pass points of the grid ``dims``.  The
+    matrix is int64 unless the sides sum past it; then it holds Python ints.
+    """
+    metric_function(metric)  # raises the canonical DomainError
+    dtype = np.int64 if sum(dims) <= np.iinfo(np.int64).max else object
+    rows = np.asarray(rows, dtype=dtype)
+    cols = np.asarray(cols, dtype=dtype)
+    total = np.zeros((len(rows), len(cols)), dtype=dtype)
+    diff = np.empty_like(total)
+    for axis, m in enumerate(dims):
+        np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)
+        np.abs(diff, out=diff)
+        if metric == "lee":
+            np.minimum(diff, m - diff, out=diff)
+        elif metric == "hamming":
+            np.minimum(diff, 1, out=diff)
+        total += diff
+    return total
+
+
 def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
     """(min, max) pairwise distance over a set of at least two points."""
     pts = sorted({grid.require(p) for p in points})
     if len(pts) < 2:
         raise DomainError("minimum distance undefined for fewer than two points")
-    dist = metric_function(metric)
-    lo, hi = None, None
-    for a, b in itertools.combinations(pts, 2):
-        d = dist(grid, a, b)
-        lo = d if lo is None else min(lo, d)
-        hi = d if hi is None else max(hi, d)
-    return lo, hi
+    lows, highs = [], []
+    # Each block pairs its rows with every later point; starting blocks only
+    # while two points remain keeps a real pair in every block.
+    for start in range(0, len(pts) - 1, CHUNK):
+        block = distance_block(
+            pts[start : start + CHUNK], pts[start:], grid.dims, metric
+        )
+        highs.append(int(block.max()))
+        # The diagonal holds the only zeros (the points are distinct); lifting
+        # it to the block maximum leaves the minimum to the real pairs.
+        np.fill_diagonal(block, highs[-1])
+        lows.append(int(block.min()))
+    return min(lows), max(highs)
 
 
 def code_min_distance(grid: Grid, points, metric: str = "manhattan") -> int:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -6,17 +7,30 @@ import pytest
 
 from gridcodes import (
     BudgetError,
+    CyclicCodeSpec,
     DomainError,
     Grid,
     GridCode,
     analyze,
+    bound_chain,
     code_min_distance,
     covering_property,
     covering_radius,
     exact_max_code,
     greedy_code,
+    manhattan_distance,
+    pairwise_distance_extremes,
 )
 from gridcodes.codes import _clique_partition, _conflict_graph, max_independent_set
+from gridcodes.grid import CHUNK
+
+
+def per_point_covering_radius(code):
+    """Reference covering radius: the largest nearest-codeword distance, point by point."""
+    return max(
+        min(manhattan_distance(code.grid, p, c) for c in code.codewords)
+        for p in code.grid.points()
+    )
 
 
 def brute_force_max_code(grid, distance):
@@ -90,6 +104,15 @@ class TestAnalysis:
         assert covering_radius(code) == 2
         assert covering_property(code, 2)
         assert not covering_property(code, 1)
+        # Random codes on grids that span several kernel blocks.
+        rng = random.Random(11)
+        for dims in ((30, 20), (9, 8, 10), (4, 5, 6, 7)):
+            g = Grid(dims)
+            assert g.volume() > CHUNK
+            pts = list(g.points())
+            for size in (1, 5, 40):
+                code = GridCode(g, tuple(rng.sample(pts, size)))
+                assert covering_radius(code) == per_point_covering_radius(code)
 
     def test_covering_budget(self):
         code = GridCode(Grid((40, 40)), ((0, 0),))
@@ -100,6 +123,20 @@ class TestAnalysis:
         code = GridCode(Grid((5, 2)), ((0, 0), (4, 1)))
         result = analyze(code, requested_covering_radii=(1, 2, 3))
         assert result.covering_property == {1: False, 2: True, 3: True}
+
+
+def test_distance_outputs_are_python_ints():
+    # json.dumps rejects numpy integers, so nothing numpy may leave the package.
+    g = Grid((9, 8, 10))
+    result = analyze(greedy_code(g, 4))
+    values = [result.covering_radius, result.packing_radius]
+    values += [*result.min_distance.values(), *result.max_distance.values()]
+    assert len(values) == 8
+    for metric in ("manhattan", "lee", "hamming"):
+        values += pairwise_distance_extremes(g, [(0, 0, 0), (3, 7, 9), (8, 1, 2)], metric)
+    chain = bound_chain(CyclicCodeSpec((8, 12, 9), (2, 3, 4)))
+    values += [getattr(chain, f.name) for f in dataclasses.fields(chain) if f.name != "spec"]
+    assert all(type(v) is int for v in values)
 
 
 class TestGreedy:
@@ -114,6 +151,9 @@ class TestGreedy:
         g = Grid((4,))
         code = greedy_code(g, 2, order=[(3,), (2,), (1,), (0,)])
         assert code.codewords == ((1,), (3,))
+        # A repeated point is at distance 0 < d from its first copy.
+        code = greedy_code(g, 1, order=[(2,), (0,), (2,)])
+        assert code.codewords == ((0,), (2,))
 
 
 class TestExactSearch:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -18,6 +19,21 @@ from gridcodes import (
     manhattan_distance,
     min_hamming_distance,
 )
+
+
+def vanishing_sets_by_subsets(derived):
+    """Reference: the empty set, then every support subset of lcm below the
+    order that no further support index divides, by size and then lexically."""
+    hat = derived.hat_sides
+    out = [frozenset()]
+    for k in range(1, len(derived.support) + 1):
+        for combo in itertools.combinations(derived.support, k):
+            sub_order = math.lcm(*(hat[i] for i in combo))
+            if sub_order < derived.order and all(
+                sub_order % hat[j] != 0 for j in derived.support if j not in combo
+            ):
+                out.append(frozenset(combo))
+    return tuple(out)
 
 
 class TestSpecValidation:
@@ -85,18 +101,26 @@ class TestHammingDistances:
     def test_random_specs_against_support_scan(self):
         rng = random.Random(29)
         checked = 0
-        while checked < 40:
-            n = rng.randint(1, 4)
-            orders = tuple(rng.randint(2, 15) for _ in range(n))
+        while checked < 80:
+            n = rng.randint(1, 10)
+            # Sides up to 9 keep the order, and so the power scan, at most 2520.
+            orders = tuple(rng.randint(2, 15 if n <= 4 else 9) for _ in range(n))
             exps = tuple(rng.randrange(m) for m in orders)
             if all(e == 0 for e in exps):
                 continue
             spec = CyclicCodeSpec(orders, exps)
-            if derive(spec).order < 2:
+            derived = derive(spec)
+            assert derived.vanishing_sets == vanishing_sets_by_subsets(derived), spec
+            if derived.order < 2:
                 continue
             # verify=True asserts the closed form against the power scan.
             min_hamming_distance(spec, verify=True)
             checked += 1
+        # Support 30: far past any subset enumeration.
+        spec = CyclicCodeSpec((2, 3, 4, 6) * 7 + (2, 3), (1,) * 30)
+        derived = derive(spec)
+        assert len(derived.support) == 30 and derived.order == 12
+        assert min_hamming_distance(spec, verify=True) == (7, 30)
 
     def test_verify_raises_when_scan_disagrees(self, monkeypatch):
         spec = CyclicCodeSpec((4, 6), (1, 2))

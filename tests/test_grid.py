@@ -16,6 +16,7 @@ from gridcodes import (
     pairwise_distance_extremes,
     parse_point,
 )
+from gridcodes.grid import CHUNK, metric_function
 
 grids = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
     lambda dims: Grid(tuple(dims))
@@ -158,11 +159,22 @@ class TestPairwiseDistances:
             pairwise_distance_extremes(g, [(0, 0)])
 
     def test_brute_force_agreement(self):
-        g = Grid((4, 3))
-        pts = [(0, 0), (3, 2), (1, 1), (2, 0)]
-        lo, hi = pairwise_distance_extremes(g, pts)
-        dists = [
-            manhattan_distance(g, a, b)
-            for a, b in itertools.combinations(pts, 2)
-        ]
-        assert (lo, hi) == (min(dists), max(dists))
+        # The 600-point set spans two kernel blocks (CHUNK = 512 rows).
+        small = (Grid((4, 3)), [(0, 0), (3, 2), (1, 1), (2, 0)])
+        big = Grid((30, 30))
+        many = random.Random(3).sample(list(big.points()), 600)
+        assert len(many) > CHUNK
+        for g, pts in (small, (big, many)):
+            for metric in ("manhattan", "lee", "hamming"):
+                dist = metric_function(metric)
+                dists = [dist(g, a, b) for a, b in itertools.combinations(pts, 2)]
+                got = pairwise_distance_extremes(g, pts, metric)
+                assert got == (min(dists), max(dists)), metric
+
+    def test_exact_past_int64(self):
+        side = 2**62
+        g = Grid((side, side, side))
+        pts = [(0, 0, 0), (side - 1, side - 1, side - 1), (1, 0, 0)]
+        assert pairwise_distance_extremes(g, pts) == (1, 3 * (side - 1))
+        assert pairwise_distance_extremes(g, pts, "lee") == (1, 4)
+        assert pairwise_distance_extremes(g, pts, "hamming") == (1, 3)
