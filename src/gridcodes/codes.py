@@ -31,6 +31,7 @@ from .grid import (
     Point,
     distance_block,
     pairwise_distance_extremes,
+    point_array,
 )
 
 #: Largest grid volume the exact conflict-graph search accepts by default.
@@ -169,7 +170,7 @@ def greedy_code(grid: Grid, distance: int, order=None) -> GridCode:
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
-    arr = np.array(pts, dtype=np.int64)
+    arr = point_array(pts, grid.dims)
     # free[j]: pts[j] is at distance >= distance from every chosen point.  A
     # repeated point is at distance 0 from itself, so it is never chosen twice.
     free = np.ones(len(pts), dtype=bool)
@@ -194,9 +195,7 @@ def _conflict_graph(grid: Grid, distance: int, metric: str):
     pts, dmat = _distance_matrix(grid.dims, metric)
     conflict = (dmat < distance) & (dmat > 0)
     adj = [
-        int.from_bytes(
-            np.packbits(row, bitorder="little").tobytes(), "little"
-        )
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
         for row in conflict
     ]
     return pts, adj
@@ -326,11 +325,8 @@ def _best_incumbent(pts, adj, n_coords: int, distance: int) -> list[int]:
 
 def _inflate(points, dims):
     """Re-insert the frozen (side length 1) coordinates into reduced points."""
-    out = []
-    for p in points:
-        it = iter(p)
-        out.append(tuple(0 if m == 1 else next(it) for m in dims))
-    return out
+    its = (iter(p) for p in points)
+    return [tuple(0 if m == 1 else next(it) for m in dims) for it in its]
 
 
 def exact_max_code(

@@ -23,6 +23,9 @@ from .grid import Grid, distance_block, pairwise_distance_extremes
 #: Largest cyclic-code order the pairwise distance scans accept by default.
 DEFAULT_ORDER_BUDGET = 5000
 
+#: Most vanishing sets ``derive`` collects; no support of 16 or fewer reaches it.
+MAX_VANISHING_SETS = 2**16
+
 
 @dataclass(frozen=True)
 class CyclicCodeSpec:
@@ -74,21 +77,21 @@ def derive(spec: CyclicCodeSpec) -> CyclicDerived:
     hat_sides = {i: spec.orders[i] // gcds[i] for i in support}
     order = math.lcm(*hat_sides.values())
 
-    # found maps each closed set V(t) = {i : m̂ᵢ | t}, t < order, to its lcm t.
+    # lcms maps t < order to its closed set V(t) = {i : m̂ᵢ | t}, of lcm t.
     # Adding one index and closing again reaches every such set from the
     # empty one, through closed sets whose lcms divide its own.
-    found = {frozenset(): 1}
-    stack = [frozenset()]
+    lcms = {1: frozenset()}
+    stack = [1]
     while stack:
         base = stack.pop()
-        for j in support:
-            t = math.lcm(found[base], hat_sides[j])
-            if t < order:
-                closed = frozenset(i for i in support if t % hat_sides[i] == 0)
-                if closed not in found:
-                    found[closed] = t
-                    stack.append(closed)
-    vanishing = sorted(found, key=lambda s: (len(s), sorted(s)))
+        for j in frozenset(support) - lcms[base]:
+            t = math.lcm(base, hat_sides[j])
+            if t < order and t not in lcms:
+                if len(lcms) == MAX_VANISHING_SETS:
+                    raise BudgetError(f"more than {MAX_VANISHING_SETS} vanishing sets")
+                lcms[t] = frozenset(i for i in support if t % hat_sides[i] == 0)
+                stack.append(t)
+    vanishing = sorted(lcms.values(), key=lambda s: (len(s), sorted(s)))
 
     non_support = frozenset(range(spec.n)) - frozenset(support)
     cosupport = tuple(j | non_support for j in vanishing)

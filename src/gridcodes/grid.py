@@ -196,17 +196,21 @@ def enumerate_zn_ball(n: int, center: Point, radius: int) -> list[Point]:
     return out
 
 
+def point_array(points, dims) -> np.ndarray:
+    """Points as int64s, or as Python ints when the sides sum past int64."""
+    dtype = np.int64 if sum(dims) <= np.iinfo(np.int64).max else object
+    return np.asarray(points, dtype=dtype)
+
+
 def distance_block(rows, cols, dims, metric: str) -> np.ndarray:
     """The len(rows) x len(cols) matrix of distances between two point lists.
 
-    Points are not validated; callers pass points of the grid ``dims``.  The
-    matrix is int64 unless the sides sum past it; then it holds Python ints.
+    Points (lists or ``point_array``s) are not validated; callers pass points
+    of the grid ``dims``.  The matrix has ``point_array``'s dtype.
     """
     metric_function(metric)  # raises the canonical DomainError
-    dtype = np.int64 if sum(dims) <= np.iinfo(np.int64).max else object
-    rows = np.asarray(rows, dtype=dtype)
-    cols = np.asarray(cols, dtype=dtype)
-    total = np.zeros((len(rows), len(cols)), dtype=dtype)
+    rows, cols = point_array(rows, dims), point_array(cols, dims)
+    total = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
     diff = np.empty_like(total)
     for axis, m in enumerate(dims):
         np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)

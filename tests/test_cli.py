@@ -128,6 +128,17 @@ class TestCyclic:
         assert code == 2
         assert "trivial" in err
 
+    def test_too_many_vanishing_sets(self, capsys):
+        primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+        code, out, err = run_cli(
+            capsys, "cyclic",
+            "--orders", ",".join(map(str, primes)),
+            "--generator", ",".join("1" * len(primes)),
+        )
+        assert code == 3
+        assert out == ""
+        assert "vanishing sets" in err
+
 
 class TestDeterminismAndBudget:
     def test_byte_identical_output(self):

@@ -154,6 +154,10 @@ class TestGreedy:
         # A repeated point is at distance 0 < d from its first copy.
         code = greedy_code(g, 1, order=[(2,), (0,), (2,)])
         assert code.codewords == ((0,), (2,))
+        # Coordinates past int64 stay exact.
+        huge = Grid((2**64,))
+        code = greedy_code(huge, 2**63, order=[(2**63,), (1,), (0,)])
+        assert code.codewords == ((0,), (2**63,))
 
 
 class TestExactSearch:

@@ -65,6 +65,18 @@ class TestDerivation:
         assert derived.hat_sides == {0: 4, 1: 4, 2: 2, 3: 2}
         assert set(derived.vanishing_sets) == {frozenset(), frozenset({2, 3})}
 
+    def test_vanishing_set_limit(self, monkeypatch):
+        # Pairwise coprime sides make every proper support subset vanish.
+        primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+        assert len(primes) == 25
+        with pytest.raises(BudgetError):
+            derive(CyclicCodeSpec(tuple(primes), (1,) * 25))
+        monkeypatch.setattr(cyclic, "MAX_VANISHING_SETS", 8)
+        derive.cache_clear()
+        assert len(derive(CyclicCodeSpec((2, 3, 5), (1, 1, 1))).vanishing_sets) == 7
+        with pytest.raises(BudgetError):
+            derive(CyclicCodeSpec((2, 3, 5, 7), (1, 1, 1, 1)))
+
     def test_codewords(self):
         spec = CyclicCodeSpec((8, 8, 8, 8), (2, 2, 4, 4))
         assert codewords(spec) == [
