@@ -3,7 +3,8 @@
 Every subcommand prints one machine-readable payload on stdout (JSON by
 default) and keeps diagnostics on stderr.  Exit codes: 0 success, 2 domain
 error (bad flags or inputs), 3 resource error (enumeration budget exceeded).
-The GRIDCODES_BUDGET environment variable overrides the enumeration budget.
+The GRIDCODES_BUDGET environment variable overrides the enumeration budget,
+which also caps the nodes of an exact search.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     grid = Grid.parse(args.grid)
     if args.mode == "exact":
-        size, code = codes.exact_max_code(grid, args.distance)
+        size, code = codes.exact_max_code(grid, args.distance, node_budget=_budget())
     else:
         code = codes.greedy_code(grid, args.distance)
         size = code.size()

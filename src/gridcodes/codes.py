@@ -2,9 +2,13 @@
 
 The exact search is a branch-and-bound maximum independent set on the
 conflict graph (points closer than the design distance are in conflict),
-with a clique-partition upper bound and candidate sets held as Python-int
-bitsets.  The greedy search adds points in scan order and is maximal by
-construction, which is exactly the (d-1)-covering property.
+with candidate sets held as Python-int bitsets over vertices relabelled by
+ascending degree.  At every search node a greedy cover of the candidates by
+conflict cliques bounds what they can still add, in the style of the
+colouring bounds of MCS and BBMC; a node budget stops it deterministically
+and a time budget by the clock.  The greedy search adds points in scan
+order and is maximal by construction, which is exactly the (d-1)-covering
+property.
 
 Every multi-point distance here (the conflict graph, the covering scan and
 the greedy scan) comes from the one kernel, ``grid.distance_block``.
@@ -193,93 +197,110 @@ def _distance_matrix(dims: tuple[int, ...], metric: str):
 def _conflict_graph(grid: Grid, distance: int, metric: str):
     """Vertices are grid points; neighbors are pairs at distance < distance."""
     pts, dmat = _distance_matrix(grid.dims, metric)
-    conflict = (dmat < distance) & (dmat > 0)
-    adj = [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in conflict
-    ]
-    return pts, adj
+    return pts, _bitsets((dmat < distance) & (dmat > 0))
 
 
-def _clique_partition(adj: list[int]) -> list[int]:
-    """Greedily partition the vertices into conflict cliques (as bitmasks).
+def _bitsets(matrix) -> list[int]:
+    """Row i of a 0/1 matrix as an int whose bit j is matrix[i, j]."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
-    An independent set meets each clique at most once, so the number of
-    cliques meeting a candidate set bounds the remaining independent-set
-    size.
+
+def _matrix(adj: list[int]):
+    """The 0/1 matrix of bitset rows, the inverse of ``_bitsets``."""
+    size = (len(adj) + 7) // 8
+    raw = b"".join(a.to_bytes(size, "little") for a in adj)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), size)
+    return np.unpackbits(rows, axis=1, bitorder="little")[:, : len(adj)]
+
+
+def _clique_cover(adj: list[int], cand: int) -> list[int]:
+    """Greedily cover the candidate set with conflict cliques (as bitmasks).
+
+    Each clique starts at the lowest uncovered candidate and grows through
+    the lowest candidates adjacent to all its members.  An independent set
+    meets each clique at most once, so the candidates covered by the first
+    k cliques hold at most k independent vertices.
     """
-    n = len(adj)
-    masks = []
-    covered = 0
-    for i in range(n):
-        if covered >> i & 1:
-            continue
-        clique = 1 << i
-        cand = adj[i] & ~covered
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            clique |= 1 << v
-            cand &= adj[v]
-        covered |= clique
-        masks.append(clique)
-    return masks
+    cliques = []
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        clique = 1 << v
+        q = cand & adj[v]
+        while q:
+            u = (q & -q).bit_length() - 1
+            clique |= 1 << u
+            q &= adj[u]
+        cand &= ~clique
+        cliques.append(clique)
+    return cliques
 
 
 def max_independent_set(
-    adj: list[int], initial=None, time_budget: float | None = None
+    adj: list[int],
+    initial=None,
+    time_budget: float | None = None,
+    node_budget: int | None = None,
 ) -> list[int]:
     """Deterministic branch-and-bound maximum independent set on bitset adjacency.
 
-    Branches over the members of one clique of a fixed clique partition
-    (at most one can be chosen), which also supplies the pruning bound.
-    Raises BudgetError when the optional wall-clock budget runs out before
-    optimality is proved.
+    The vertices are relabelled once by ascending degree (ties by index).
+    At every node the candidates are covered greedily by cliques
+    (``_clique_cover``); a vertex of the k-th clique can extend the chosen
+    set by at most k, so the search branches on the vertices in reverse
+    cover order and cuts as soon as ``len(chosen) + k`` cannot beat the
+    best set.  The result is returned sorted, in the caller's labels.
+
+    ``node_budget`` caps the number of search nodes, deterministically;
+    ``time_budget`` caps the wall-clock seconds.  When either runs out,
+    BudgetError is raised with ``lower`` (the best size found) and
+    ``upper`` (the root cover's size) set to what the search proved.
     """
     n = len(adj)
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    cliques = _clique_partition(adj)
-    best = list(initial) if initial else []
+    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    label = {v: i for i, v in enumerate(order)}
+    adj = _bitsets(_matrix(adj)[np.ix_(order, order)])
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    best = [label[v] for v in initial] if initial else []
     best_size = len(best)
+    root = _clique_cover(adj, (1 << n) - 1)
     deadline = None if time_budget is None else time.monotonic() + time_budget
     nodes = 0
 
-    def expand(cand: int, chosen: list[int]) -> None:
+    def stop(budget: str):
+        error = BudgetError(
+            f"independent-set search stopped by its {budget} after {nodes} nodes"
+        )
+        error.lower, error.upper = best_size, len(root)
+        return error
+
+    def expand(cand: int, chosen: list[int], cliques: list[int]) -> None:
         nonlocal best, best_size, nodes
+        if nodes == node_budget:
+            raise stop("node budget")
         nodes += 1
         if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise BudgetError(
-                f"independent-set search exceeded its {time_budget}s time budget"
-            )
+            raise stop(f"{time_budget}s time budget")
         if not cand:
             if len(chosen) > best_size:
                 best = list(chosen)
                 best_size = len(best)
             return
-        # Bound by the number of partition cliques the candidates still meet,
-        # and branch over the clique meeting them in the fewest vertices.
-        bound = 0
-        pick = 0
-        pick_size = n + 1
-        for mask in cliques:
-            inter = mask & cand
-            if inter:
-                bound += 1
-                size = bin(inter).count("1")
-                if size < pick_size:
-                    pick, pick_size = inter, size
-        if len(chosen) + bound <= best_size:
-            return
-        while pick:
-            v = (pick & -pick).bit_length() - 1
-            pick &= pick - 1
-            chosen.append(v)
-            expand(cand & ~closed[v], chosen)
-            chosen.pop()
-            cand &= ~(1 << v)
-        expand(cand, chosen)
+        for k in range(len(cliques), 0, -1):
+            members = cliques[k - 1]
+            while members:
+                if len(chosen) + k <= best_size:
+                    return
+                v = members.bit_length() - 1
+                members ^= 1 << v
+                chosen.append(v)
+                sub = cand & ~closed[v]
+                expand(sub, chosen, _clique_cover(adj, sub))
+                chosen.pop()
+                cand &= ~(1 << v)
 
-    expand((1 << n) - 1, [])
-    return sorted(best)
+    expand((1 << n) - 1, [], root)
+    return sorted(order[v] for v in best)
 
 
 def _best_incumbent(pts, adj, n_coords: int, distance: int) -> list[int]:
@@ -335,14 +356,19 @@ def exact_max_code(
     metric: str = "manhattan",
     max_volume: int = DEFAULT_EXACT_VOLUME,
     time_budget: float | None = None,
+    node_budget: int | None = None,
 ) -> tuple[int, GridCode]:
     """Exact maximum code size with minimum distance >= distance, plus a witness.
 
     Closed forms handle distance 1, distance 2, one effective dimension,
-    and distances beyond the diameter; everything else is exhaustive over
-    the conflict graph, so the grid volume is capped and an optional
-    wall-clock budget aborts with BudgetError instead of running open-ended.
-    Use greedy_code past either limit.
+    and distances beyond the diameter.  Otherwise, under the Manhattan
+    metric, the best of a few greedy scans is returned at once when it meets
+    the smaller of the Hamming bound and the size of one clique cover of the
+    conflict graph; failing that, ``max_independent_set`` searches the graph
+    exhaustively.  The grid volume is capped, and the optional node and
+    wall-clock budgets of that search abort with BudgetError, whose message
+    gives the nodes searched and the proven ``lower <= A <= upper``.  Use
+    greedy_code past these limits.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
@@ -370,15 +396,24 @@ def exact_max_code(
             words = [p for p in grid.points() if sum(p) % 2 == 0]
             return len(words), GridCode(grid, tuple(words))
     pts, adj = _conflict_graph(grid, distance, metric)
+    # Every code meets each clique of a cover at most once; under the
+    # Manhattan metric the Hamming bound holds as well.
+    upper = len(_clique_cover(adj, (1 << len(adj)) - 1))
+    seed = None
     if metric == "manhattan":
+        upper = min(upper, hamming_bound(grid, distance))
         seed = _best_incumbent(pts, adj, grid.n, distance)
-        # If a cheap upper bound already meets the incumbent, it is optimal.
-        upper = min(hamming_bound(grid, distance), len(_clique_partition(adj)))
+        # If the upper bound already meets the incumbent, it is optimal.
         if len(seed) == upper:
             code = GridCode(grid, tuple(pts[i] for i in seed))
             return code.size(), code
-    else:
-        seed = None
-    chosen = max_independent_set(adj, initial=seed, time_budget=time_budget)
+    try:
+        chosen = max_independent_set(
+            adj, initial=seed, time_budget=time_budget, node_budget=node_budget
+        )
+    except BudgetError as error:
+        raise BudgetError(
+            f"{error}: {error.lower} <= A <= {min(upper, error.upper)}"
+        ) from None
     code = GridCode(grid, tuple(pts[i] for i in chosen))
     return code.size(), code

@@ -220,14 +220,17 @@ def bound_chain(
     powers against the identity suffices; the Manhattan minima (in both the
     ambient and refined coordinates) do not, and need the full pairwise scan.
     """
-    derived = derive(spec)
-    order = derived.order
+    # The order first: below the budget, the lattice walk in ``derive`` meets
+    # at most as many vanishing sets as the order has divisors.
+    pairs = zip(spec.generator_exponents, spec.orders)
+    order = math.lcm(*(m // math.gcd(e, m) for e, m in pairs))
     if order < 2:
         raise DomainError("the code has a single element; distances are undefined")
     if order > order_budget:
         raise BudgetError(
             f"order {order} exceeds the pairwise-scan budget {order_budget}"
         )
+    derived = derive(spec)
 
     d_h, delta_h = min_hamming_distance(spec, derived)
     hat_sides = tuple(derived.hat_sides[i] for i in derived.support)

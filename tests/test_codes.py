@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -13,6 +14,7 @@ from gridcodes import (
     GridCode,
     analyze,
     bound_chain,
+    bound_report,
     code_min_distance,
     covering_property,
     covering_radius,
@@ -21,7 +23,7 @@ from gridcodes import (
     manhattan_distance,
     pairwise_distance_extremes,
 )
-from gridcodes.codes import _clique_partition, _conflict_graph, max_independent_set
+from gridcodes.codes import _clique_cover, _conflict_graph, max_independent_set
 from gridcodes.grid import CHUNK
 
 
@@ -216,37 +218,89 @@ class TestExactSearch:
         with pytest.raises(BudgetError):
             exact_max_code(Grid((6, 8, 8)), 3, time_budget=0.05)
 
+    def test_node_budget(self):
+        g = Grid((4, 4, 8, 4))
+        with pytest.raises(BudgetError) as stop:
+            exact_max_code(g, 3, node_budget=2000)
+        message = str(stop.value)
+        assert "2000" in message and "<= A <=" in message
+        lower, upper = (int(x) for x in message.rsplit(": ", 1)[1].split(" <= A <= "))
+        assert lower <= upper <= bound_report(g, 3).hamming_upper
+
+    def test_slowest_family_instances(self):
+        # Sizes at d = 3 confirmed by a HiGHS MILP.
+        for dims, size in [((9, 9), 17), ((1, 6, 4, 4), 16), ((4, 6, 4), 16), ((4, 3, 7), 14)]:
+            g = Grid(dims)
+            found, code = exact_max_code(g, 3, node_budget=10**6)
+            assert found == size == code.size(), dims
+            assert code_min_distance(g, code.codewords) >= 3
+
+
+def exhaustive_independent_set(adj):
+    """Reference maximum independent set: plain two-way branching, no bounds."""
+
+    @functools.cache
+    def best(cand):
+        if not cand:
+            return frozenset()
+        v = cand.bit_length() - 1
+        skip = best(cand & ~(1 << v))
+        take = best(cand & ~adj[v] & ~(1 << v)) | {v}
+        return take if len(take) > len(skip) else skip
+
+    return best((1 << len(adj)) - 1)
+
+
+def random_graph(rng, n, density):
+    adj = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
 
 class TestIndependentSetSolver:
     def test_against_exhaustive(self):
         rng = random.Random(9)
-        for _ in range(20):
-            n = rng.randint(1, 9)
-            adj = [0] * n
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < 0.4:
-                        adj[i] |= 1 << j
-                        adj[j] |= 1 << i
-            best = max_independent_set(adj)
-            assert all(
-                not adj[u] >> v & 1 for u in best for v in best
-            )
-            alpha = 0
-            for mask in range(1 << n):
-                if any(
-                    mask >> i & 1 and adj[i] & mask for i in range(n)
-                ):
-                    continue
-                alpha = max(alpha, bin(mask).count("1"))
-            assert len(best) == alpha
+        for trial in range(120):
+            n = rng.randint(1, 16)
+            adj = random_graph(rng, n, 0.1 + 0.6 * trial / 119)
+            optimum = sorted(exhaustive_independent_set(adj))
+            smaller = optimum[1:]
+            for initial in (None, optimum, smaller):
+                found = max_independent_set(adj, initial=initial)
+                assert found == sorted(found)
+                assert all(0 <= v < n for v in found)
+                assert not any(adj[u] >> v & 1 for u in found for v in found)
+                assert len(found) == len(optimum), (adj, initial)
+            # Nothing beats an optimal start, so it comes back unchanged.
+            assert max_independent_set(adj, initial=optimum[::-1]) == optimum
+
+    def test_node_budget(self):
+        rng = random.Random(4)
+        adj = random_graph(rng, 40, 0.2)
+        with pytest.raises(BudgetError) as first:
+            max_independent_set(adj, node_budget=5)
+        with pytest.raises(BudgetError) as second:
+            max_independent_set(adj, node_budget=5)
+        assert str(first.value) == str(second.value)
+        assert "node budget after 5 nodes" in str(first.value)
+        alpha = len(exhaustive_independent_set(adj))
+        assert first.value.lower <= alpha <= first.value.upper
+        assert len(max_independent_set(adj, node_budget=10**6)) == alpha
 
     def test_clique_partition_covers(self):
         g = Grid((3, 4))
         _, adj = _conflict_graph(g, 3, "manhattan")
-        masks = _clique_partition(adj)
-        union = 0
-        for mask in masks:
-            assert union & mask == 0
-            union |= mask
-        assert union == (1 << len(adj)) - 1
+        rng = random.Random(3)
+        full = (1 << len(adj)) - 1
+        for cand in [full, 0] + [rng.getrandbits(len(adj)) for _ in range(20)]:
+            union = 0
+            for mask in _clique_cover(adj, cand):
+                assert mask and union & mask == 0
+                union |= mask
+                members = [v for v in range(len(adj)) if mask >> v & 1]
+                for u, v in itertools.combinations(members, 2):
+                    assert adj[u] >> v & 1
+            assert union == cand
