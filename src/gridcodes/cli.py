@@ -3,8 +3,8 @@
 Every subcommand prints one machine-readable payload on stdout (JSON by
 default) and keeps diagnostics on stderr.  Exit codes: 0 success, 2 domain
 error (bad flags or inputs), 3 resource error (enumeration budget exceeded).
-The GRIDCODES_BUDGET environment variable overrides the enumeration budget,
-which also caps the nodes of an exact search.
+The GRIDCODES_BUDGET environment variable overrides the enumeration budget
+(10**7) and the exact search's node budget (``codes.DEFAULT_NODE_BUDGET``).
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ EXIT_DOMAIN = 2
 EXIT_RESOURCE = 3
 
 
-def _budget() -> int:
+def _budget(default: int = DEFAULT_BUDGET) -> int:
     raw = os.environ.get("GRIDCODES_BUDGET")
     if raw is None:
-        return DEFAULT_BUDGET
+        return default
     try:
         value = int(raw)
         if value < 1:
@@ -134,7 +134,8 @@ def cmd_analyze(args) -> int:
 def cmd_search(args) -> int:
     grid = Grid.parse(args.grid)
     if args.mode == "exact":
-        size, code = codes.exact_max_code(grid, args.distance, node_budget=_budget())
+        budget = _budget(codes.DEFAULT_NODE_BUDGET)
+        size, code = codes.exact_max_code(grid, args.distance, node_budget=budget)
     else:
         code = codes.greedy_code(grid, args.distance)
         size = code.size()

@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .balls import eta_value
 from .bounds import hamming_bound
 from .errors import BudgetError, DomainError
@@ -40,6 +38,8 @@ from .grid import (
 
 #: Largest grid volume the exact conflict-graph search accepts by default.
 DEFAULT_EXACT_VOLUME = 512
+#: Search nodes the CLI grants an exact search (seconds on the hardest grids).
+DEFAULT_NODE_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,7 @@ def greedy_code(grid: Grid, distance: int, order=None) -> GridCode:
     ``order`` defaults to the lexicographic point order; pass an explicit
     sequence of points to experiment with other scans.
     """
+    import numpy as np
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
@@ -202,12 +203,14 @@ def _conflict_graph(grid: Grid, distance: int, metric: str):
 
 def _bitsets(matrix) -> list[int]:
     """Row i of a 0/1 matrix as an int whose bit j is matrix[i, j]."""
+    import numpy as np
     packed = np.packbits(matrix, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _matrix(adj: list[int]):
     """The 0/1 matrix of bitset rows, the inverse of ``_bitsets``."""
+    import numpy as np
     size = (len(adj) + 7) // 8
     raw = b"".join(a.to_bytes(size, "little") for a in adj)
     rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(adj), size)
@@ -256,6 +259,7 @@ def max_independent_set(
     BudgetError is raised with ``lower`` (the best size found) and
     ``upper`` (the root cover's size) set to what the search proved.
     """
+    import numpy as np
     n = len(adj)
     order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
     label = {v: i for i, v in enumerate(order)}

@@ -5,10 +5,10 @@ total lexicographic order for free.  All counts use Python's exact
 integers, so nothing here can silently overflow.
 
 Every distance between many points comes from one numpy kernel,
-``distance_block``, which sums the per-axis distances; the pairwise,
-covering, greedy, conflict-graph and cyclic-chain scans call it in blocks of
-at most ``CHUNK`` rows.  The per-pair functions serve single pairs and are
-the tests' reference for the kernel.
+``distance_block``, which loads numpy on first use and sums the per-axis
+distances; the pairwise, covering, greedy, conflict-graph and cyclic-chain
+scans call it in blocks of at most ``CHUNK`` rows.  The per-pair functions
+serve single pairs and are the tests' reference for the kernel.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetError, DomainError
 
@@ -196,18 +194,20 @@ def enumerate_zn_ball(n: int, center: Point, radius: int) -> list[Point]:
     return out
 
 
-def point_array(points, dims) -> np.ndarray:
+def point_array(points, dims):
     """Points as int64s, or as Python ints when the sides sum past int64."""
+    import numpy as np
     dtype = np.int64 if sum(dims) <= np.iinfo(np.int64).max else object
     return np.asarray(points, dtype=dtype)
 
 
-def distance_block(rows, cols, dims, metric: str) -> np.ndarray:
+def distance_block(rows, cols, dims, metric: str):
     """The len(rows) x len(cols) matrix of distances between two point lists.
 
     Points (lists or ``point_array``s) are not validated; callers pass points
     of the grid ``dims``.  The matrix has ``point_array``'s dtype.
     """
+    import numpy as np
     metric_function(metric)  # raises the canonical DomainError
     rows, cols = point_array(rows, dims), point_array(cols, dims)
     total = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
@@ -225,6 +225,7 @@ def distance_block(rows, cols, dims, metric: str) -> np.ndarray:
 
 def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
     """(min, max) pairwise distance over a set of at least two points."""
+    import numpy as np
     pts = sorted({grid.require(p) for p in points})
     if len(pts) < 2:
         raise DomainError("minimum distance undefined for fewer than two points")

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from gridcodes import codes
 from gridcodes.cli import main
 
 
@@ -166,6 +167,19 @@ class TestDeterminismAndBudget:
             assert b"<= A <=" in run.stderr
         assert runs[0].stderr == runs[1].stderr
 
+    def test_exact_search_default_node_budget(self, capsys, monkeypatch):
+        # Without GRIDCODES_BUDGET the search stops at DEFAULT_NODE_BUDGET
+        # nodes, not at the enumeration budget.
+        monkeypatch.delenv("GRIDCODES_BUDGET", raising=False)
+        monkeypatch.setattr(codes, "DEFAULT_NODE_BUDGET", 300)
+        code, out, err = run_cli(
+            capsys,
+            "search", "--grid", "4,4,8,4", "--distance", "3", "--mode", "exact",
+        )
+        assert code == 3
+        assert out == ""
+        assert "after 300 nodes" in err
+
     def test_budget_env_var(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "code.json"
         path.write_text('{"dims": [30, 30], "codewords": [[0, 0]]}')
@@ -183,3 +197,38 @@ class TestDeterminismAndBudget:
         )
         assert code == 2
         assert "GRIDCODES_BUDGET" in err
+
+
+# Runs in a fresh interpreter: the closed-form subcommands must leave numpy
+# unloaded, and the first distance scan (cyclic) must load it.
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+import gridcodes
+from gridcodes.cli import main
+
+def run(argv, numpy_loaded):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0 or ("numpy" in sys.modules) != numpy_loaded:
+        sys.exit(f"{argv}: exit {code}, numpy loaded: {'numpy' in sys.modules}")
+
+if "numpy" in sys.modules:
+    sys.exit("import gridcodes loaded numpy")
+run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "gamma", "--verify"],
+    False)
+run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "at",
+     "--center", "2,0"], False)
+run(["bounds", "--grid", "10,4,4", "--distance", "5"], False)
+run(["bounds", "--grid", "5,2", "--sweep", "5"], False)
+run(["cyclic", "--orders", "8,8,8,8", "--generator", "2,2,4,4"], True)
+"""
+
+
+def test_closed_forms_do_not_load_numpy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    run = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr

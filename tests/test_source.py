@@ -6,14 +6,42 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "gridcodes"
 
 
-def test_no_library_asserts():
-    # python -O strips assert statements, so no correctness check may be one.
+def _trees():
     files = sorted(SOURCE.glob("*.py"))
     assert files, SOURCE
+    return [(path, ast.parse(path.read_text(), str(path))) for path in files]
+
+
+def test_no_library_asserts():
+    # python -O strips assert statements, so no correctness check may be one.
     found = [
         f"{path.name}:{node.lineno}"
-        for path in files
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
+    assert not found, found
+
+
+def _imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.level == 0 and (node.module or "").split(".")[0] == "numpy"
+    return False
+
+
+def test_no_module_level_numpy_import():
+    # numpy is loaded by the functions that scan distances, so importing
+    # gridcodes and computing closed forms never pays for it.  Module level
+    # includes top-level if/try blocks and class bodies.
+    found = []
+    for path, tree in _trees():
+        stack = list(tree.body)
+        while stack:
+            node = stack.pop()
+            if _imports_numpy(node):
+                found.append(f"{path.name}:{node.lineno}")
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                stack.extend(ast.iter_child_nodes(node))
     assert not found, found
