@@ -317,19 +317,17 @@ def _best_incumbent(pts, adj, n_coords: int, distance: int) -> list[int]:
     count = len(pts)
     orders = [list(range(count))]
     moduli = sorted({distance, distance + 1, 2 * distance - 1})
+    dots = [
+        [sum(a * b for a, b in zip(weights, p)) for p in pts]
+        for weights in (range(1, n_coords + 1), range(n_coords, 0, -1))
+    ]
     for q in moduli:
         if q < 2:
             continue
-        for weights in (tuple(range(1, n_coords + 1)), tuple(range(n_coords, 0, -1))):
-            orders.append(
-                sorted(
-                    range(count),
-                    key=lambda i, w=weights: (
-                        sum(a * b for a, b in zip(w, pts[i])) % q,
-                        pts[i],
-                    ),
-                )
-            )
+        for dot in dots:
+            # The points are in lexicographic order, so the stable sort
+            # breaks residue ties by point.
+            orders.append(sorted(range(count), key=lambda i, d=dot: d[i] % q))
     rng = random.Random(0)
     for _ in range(3):
         shuffled = list(range(count))

@@ -8,7 +8,10 @@ of coordinate sets that can vanish simultaneously on a non-identity power.
 The k-th power vanishes exactly on V(k) = {i : m̂ᵢ | k}, so these sets are the
 closed sets of the lattice of lcms of the refined orders m̂ᵢ below the code's
 order; ``derive`` walks that lattice up from the empty set.  The Lee and
-Manhattan distances of the chain come from the grid's distance kernel.
+Manhattan distances of the chain come from the table of powers: the pairs
+at power difference j differ by the j-th power, whose Lee weight bounds
+their Manhattan distance, so ``bound_chain`` scans one difference at a time
+in bound order instead of all pairs.
 """
 
 from __future__ import annotations
@@ -18,9 +21,9 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import BudgetError, DomainError, GridCodesError
-from .grid import Grid, distance_block, pairwise_distance_extremes
+from .grid import distance_block
 
-#: Largest cyclic-code order the pairwise distance scans accept by default.
+#: Largest cyclic-code order the power-difference scans accept by default.
 DEFAULT_ORDER_BUDGET = 5000
 
 #: Most vanishing sets ``derive`` collects; no support of 16 or fewer reaches it.
@@ -211,14 +214,52 @@ class DistanceChain:
         }
 
 
+def _power_extremes(coefficients, sides, order) -> tuple[int, int, int]:
+    """(Lee minimum, Manhattan minimum, Manhattan maximum) of the powers
+    k * coefficients mod sides, k < order.
+
+    Powers k and k + j differ on axis i by s or m - s, where s is the j-th
+    power's coordinate, so their distance lies between the j-th power's Lee
+    weight L(j) and U(j), the sum of m - min(s, m - s) over its non-zero
+    coordinates.  Differences j <= order/2 are scanned, one row of all k
+    each, by ascending L for the minimum and descending U for the maximum,
+    until the bound cannot beat the extreme so far.  As in
+    ``grid.point_array``, entries are Python ints where int64 could overflow.
+    """
+    import numpy as np
+    fits = max(order * max(sides), sum(sides)) <= np.iinfo(np.int64).max
+    k = np.arange(order, dtype=np.int64 if fits else object)[:, None]
+    m = np.array(sides, dtype=k.dtype)
+    table = k * np.array(coefficients, dtype=k.dtype) % m
+    lee = distance_block(table[:1], table, sides, "lee")[0]
+    upper = (np.where(table != 0, m, 0).sum(axis=1) - lee).tolist()
+    lee = lee.tolist()
+
+    def row(j):
+        return np.abs(table - np.roll(table, -j, axis=0)).sum(axis=1)
+
+    diffs = range(1, order // 2 + 1)
+    low, high = math.inf, 0
+    for j in sorted(diffs, key=lee.__getitem__):
+        if lee[j] >= low:
+            break
+        low = min(low, int(row(j).min()))
+    for j in sorted(diffs, key=upper.__getitem__, reverse=True):
+        if upper[j] <= high:
+            break
+        high = max(high, int(row(j).max()))
+    return min(lee[1:]), low, high
+
+
 def bound_chain(
     spec: CyclicCodeSpec, order_budget: int = DEFAULT_ORDER_BUDGET
 ) -> DistanceChain:
     """Exact distance parameters of the cyclic code, with the chain checked.
 
     Hamming and Lee minima shift with the group action, so scanning the
-    powers against the identity suffices; the Manhattan minima (in both the
-    ambient and refined coordinates) do not, and need the full pairwise scan.
+    powers against the identity suffices; the Manhattan extremes (in both
+    the ambient and refined coordinates) do not, and come from comparing
+    the powers at one difference at a time, see ``_power_extremes``.
     """
     # The order first: below the budget, the lattice walk in ``derive`` meets
     # at most as many vanishing sets as the order has divisors.
@@ -228,20 +269,20 @@ def bound_chain(
         raise DomainError("the code has a single element; distances are undefined")
     if order > order_budget:
         raise BudgetError(
-            f"order {order} exceeds the pairwise-scan budget {order_budget}"
+            f"order {order} exceeds the order budget {order_budget}"
         )
     derived = derive(spec)
 
     d_h, delta_h = min_hamming_distance(spec, derived)
-    hat_sides = tuple(derived.hat_sides[i] for i in derived.support)
-    words = [codeword(spec, k) for k in range(order)]
-    hat_words = [hat_coordinates(derived, k) for k in range(order)]
-    d_lee = int(distance_block(words[:1], words[1:], spec.orders, "lee").min())
-    hat_d_lee = int(
-        distance_block(hat_words[:1], hat_words[1:], hat_sides, "lee").min()
+    support = derived.support
+    sides = [spec.orders[i] for i in support]
+    hat_sides = [derived.hat_sides[i] for i in support]
+    d_lee, d_man, delta_man = _power_extremes(
+        [spec.generator_exponents[i] for i in support], sides, order
     )
-    d_man, delta_man = pairwise_distance_extremes(Grid(spec.orders), words)
-    hat_d_man, _ = pairwise_distance_extremes(Grid(hat_sides), hat_words)
+    hat_d_lee, hat_d_man, _ = _power_extremes(
+        [derived.cofactors[i] for i in support], hat_sides, order
+    )
 
     delta_upper = sum(
         spec.orders[i] - derived.gcds[i] for i in derived.support

@@ -18,6 +18,7 @@ from gridcodes import (
     derive,
     manhattan_distance,
     min_hamming_distance,
+    pairwise_distance_extremes,
 )
 
 
@@ -200,8 +201,8 @@ class TestBoundChain:
         assert chain.delta_manhattan == 8
 
     def test_hat_metric_needs_full_scan(self):
-        # Scanning only against the identity would report hat distance 4
-        # here; the true minimum 2 is between the powers k=1 and k=2.
+        # Scanning the identity alone would report hat distance 4 here;
+        # the true minimum 2 is between the powers k=1 and k=2.
         spec = CyclicCodeSpec((8, 8), (2, 6))
         chain = bound_chain(spec)
         assert chain.hat_d_manhattan == 2
@@ -251,3 +252,107 @@ class TestBoundChain:
             spec.orders[i] - derived.gcds[i] for i in derived.support
         )
         assert bound_chain(spec).delta_upper == expected == 20
+
+
+def brute_manhattan(spec):
+    """(d_manhattan, delta_manhattan, hat_d_manhattan) over all pairs of powers."""
+    derived = derive(spec)
+    words = codewords(spec, derived)
+    hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
+
+    def dist(a, b):
+        return sum(abs(x - y) for x, y in zip(a, b))
+
+    ambient = [dist(a, b) for a, b in itertools.combinations(words, 2)]
+    hat = min(dist(a, b) for a, b in itertools.combinations(hats, 2))
+    return min(ambient), max(ambient), hat
+
+
+def chain_manhattan(chain):
+    return chain.d_manhattan, chain.delta_manhattan, chain.hat_d_manhattan
+
+
+class TestDifferenceScan:
+    """The Manhattan extremes come from scanning power differences in
+    Lee-bound order; every pair of powers is the reference."""
+
+    def test_random_specs_against_all_pairs(self):
+        rng = random.Random(53)
+        even = checked = 0
+        while checked < 150:
+            n = rng.randint(1, 4)
+            orders = tuple(rng.randint(2, 16) for _ in range(n))
+            exps = tuple(rng.randrange(m) for m in orders)
+            if all(e == 0 for e in exps):
+                continue
+            spec = CyclicCodeSpec(orders, exps)
+            order = derive(spec).order
+            if not 2 <= order <= 300:
+                continue
+            assert chain_manhattan(bound_chain(spec)) == brute_manhattan(spec), spec
+            even += order % 2 == 0
+            checked += 1
+        assert even >= 50
+
+    def test_one_component(self):
+        for m in range(2, 41):
+            for e in range(1, m):
+                spec = CyclicCodeSpec((m,), (e,))
+                assert chain_manhattan(bound_chain(spec)) == brute_manhattan(spec)
+
+    def test_large_supports(self):
+        rng = random.Random(59)
+        for support in (16, 17, 18) * 3:
+            orders = tuple(rng.choice((2, 3, 4, 6)) for _ in range(support))
+            spec = CyclicCodeSpec(orders, tuple(rng.randrange(1, m) for m in orders))
+            assert chain_manhattan(bound_chain(spec)) == brute_manhattan(spec), spec
+
+    def test_half_order_difference(self):
+        # The order is 4; only the powers two apart, the difference order/2,
+        # are at the minimum distance 2.
+        spec = CyclicCodeSpec((4, 4), (1, 2))
+        chain = bound_chain(spec)
+        assert chain.order == 4
+        assert chain_manhattan(chain) == brute_manhattan(spec) == (2, 5, 2)
+        assert min(
+            codeword_distance(spec, k, (k + 1) % 4) for k in range(4)
+        ) > chain.d_manhattan
+
+    def test_order_above_1000(self):
+        spec = CyclicCodeSpec((58, 37, 4), (2, 1, 2))
+        derived = derive(spec)
+        assert derived.order == 2146
+        chain = bound_chain(spec)
+        words = codewords(spec, derived)
+        hat_sides = tuple(derived.hat_sides[i] for i in derived.support)
+        hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
+        assert (chain.d_manhattan, chain.delta_manhattan) == (
+            pairwise_distance_extremes(Grid(spec.orders), words)
+        )
+        assert chain.hat_d_manhattan == (
+            pairwise_distance_extremes(Grid(hat_sides), hats)[0]
+        )
+
+    def test_sides_past_int64(self):
+        spec = CyclicCodeSpec((3 * 2**64, 5), (2**64, 1))
+        chain = bound_chain(spec)
+        assert chain.order == 15
+        assert chain_manhattan(chain) == brute_manhattan(spec)
+        assert chain.delta_manhattan > 2**64
+
+    def test_maximum_needs_several_differences(self):
+        # The difference of largest upper bound U is not where the maximum
+        # lies, so the scan must go on past it.
+        spec = CyclicCodeSpec((4, 6), (1, 5))
+        chain = bound_chain(spec)
+        assert chain_manhattan(chain) == brute_manhattan(spec)
+
+        def upper(j):
+            word = codeword(spec, j)
+            return sum(m - min(s, m - s) for s, m in zip(word, spec.orders) if s)
+
+        first = max(range(1, chain.order // 2 + 1), key=upper)
+        assert max(
+            codeword_distance(spec, k, (k + first) % chain.order)
+            for k in range(chain.order)
+        ) < chain.delta_manhattan
