@@ -3,11 +3,10 @@
 Elements are always exponent vectors with respect to the canonical
 generating set implied by the component orders; the code generated by one
 element is materialized through modular arithmetic only, never as abstract
-group elements.  The minimum/maximum Hamming distances come from the family
-of coordinate sets that can vanish simultaneously on a non-identity power.
-The k-th power vanishes exactly on V(k) = {i : m̂ᵢ | k}, so these sets are the
-closed sets of the lattice of lcms of the refined orders m̂ᵢ below the code's
-order; ``derive`` walks that lattice up from the empty set.  The Lee and
+group elements.  The k-th power vanishes on the axes whose refined order m̂ᵢ
+divides k; the Hamming distances come from gcds over a pairwise coprime base
+of the m̂ᵢ (see ``min_hamming_distance``), with no factoring and no subset
+enumeration.  The Lee and
 Manhattan distances of the chain come from the table of powers: the pairs
 at power difference j differ by the j-th power, whose Lee weight bounds
 their Manhattan distance, so ``bound_chain`` scans one difference at a time
@@ -16,18 +15,16 @@ in bound order instead of all pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import BudgetError, DomainError, GridCodesError
 from .grid import distance_block
 
-#: Largest cyclic-code order the power-difference scans accept by default.
+#: Largest cyclic-code order that ``bound_chain``'s power-difference scans
+#: and ``min_hamming_distance``'s ``verify`` power scan accept by default.
 DEFAULT_ORDER_BUDGET = 5000
-
-#: Most vanishing sets ``derive`` collects; no support of 16 or fewer reaches it.
-MAX_VANISHING_SETS = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,36 +65,14 @@ class CyclicDerived:
     min_gcd: int
     order: int
     hat_sides: dict  # i -> m_i / gcd, for i in support
-    vanishing_sets: tuple[frozenset, ...]  # X: maximal proper-order subsets + empty set
-    cosupport_sets: tuple[frozenset, ...]  # Y: complements of supports of powers
 
 
-@cache
 def derive(spec: CyclicCodeSpec) -> CyclicDerived:
     support = tuple(i for i, e in enumerate(spec.generator_exponents) if e != 0)
     gcds = {i: math.gcd(spec.generator_exponents[i], spec.orders[i]) for i in support}
     cofactors = {i: spec.generator_exponents[i] // gcds[i] for i in support}
     hat_sides = {i: spec.orders[i] // gcds[i] for i in support}
     order = math.lcm(*hat_sides.values())
-
-    # lcms maps t < order to its closed set V(t) = {i : m̂ᵢ | t}, of lcm t.
-    # Adding one index and closing again reaches every such set from the
-    # empty one, through closed sets whose lcms divide its own.
-    lcms = {1: frozenset()}
-    stack = [1]
-    while stack:
-        base = stack.pop()
-        for j in frozenset(support) - lcms[base]:
-            t = math.lcm(base, hat_sides[j])
-            if t < order and t not in lcms:
-                if len(lcms) == MAX_VANISHING_SETS:
-                    raise BudgetError(f"more than {MAX_VANISHING_SETS} vanishing sets")
-                lcms[t] = frozenset(i for i in support if t % hat_sides[i] == 0)
-                stack.append(t)
-    vanishing = sorted(lcms.values(), key=lambda s: (len(s), sorted(s)))
-
-    non_support = frozenset(range(spec.n)) - frozenset(support)
-    cosupport = tuple(j | non_support for j in vanishing)
     return CyclicDerived(
         spec=spec,
         support=support,
@@ -106,9 +81,21 @@ def derive(spec: CyclicCodeSpec) -> CyclicDerived:
         min_gcd=min(gcds.values()),
         order=order,
         hat_sides=hat_sides,
-        vanishing_sets=tuple(vanishing),
-        cosupport_sets=cosupport,
     )
+
+
+def _coprime_base(values) -> set[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to every value:
+    split two members sharing g > 1 into g, a/g and b/g until none do."""
+    base = set(values) - {1}
+    while True:
+        for a, b in itertools.combinations(base, 2):
+            g = math.gcd(a, b)
+            if g > 1:
+                base = base - {a, b} | {g, a // g, b // g} - {1}
+                break
+        else:
+            return base
 
 
 def codeword(spec: CyclicCodeSpec, k: int) -> tuple[int, ...]:
@@ -126,17 +113,30 @@ def min_hamming_distance(
 ) -> tuple[int, int]:
     """(minimum, maximum) Hamming distance of the cyclic code.
 
+    The generator is non-zero on the whole support, the maximum.  A power
+    k that is not the identity falls short of the order's b-part for some b
+    in a coprime base of the refined orders m̂ᵢ, so it vanishes wherever the
+    power order/b does: on the axes whose m̂ᵢ lacks the full b-part.  The
+    minimum is the least count, over b, of the axes with gcd(order/m̂ᵢ, b) = 1.
+
     With ``verify`` the closed form is checked against a scan of the
-    supports of all non-identity powers.
+    supports of all non-identity powers, which raises ``BudgetError`` when
+    the order exceeds ``DEFAULT_ORDER_BUDGET``.
     """
     derived = derived or derive(spec)
-    n = spec.n
     if derived.order < 2:
         raise DomainError("the code has a single element; distances are undefined")
-    sizes = [len(j) for j in derived.cosupport_sets]
-    d_h = n - max(sizes)
-    delta_h = n - min(sizes)
+    cofactor_orders = [derived.order // m for m in derived.hat_sides.values()]
+    d_h = min(
+        sum(1 for c in cofactor_orders if math.gcd(c, b) == 1)
+        for b in _coprime_base(derived.hat_sides.values())
+    )
+    delta_h = len(derived.support)
     if verify:
+        if derived.order > DEFAULT_ORDER_BUDGET:
+            raise BudgetError(
+                f"order {derived.order} exceeds the order budget {DEFAULT_ORDER_BUDGET}"
+            )
         supports = [
             sum(1 for c in codeword(spec, k) if c != 0)
             for k in range(1, derived.order)
@@ -261,17 +261,14 @@ def bound_chain(
     the ambient and refined coordinates) do not, and come from comparing
     the powers at one difference at a time, see ``_power_extremes``.
     """
-    # The order first: below the budget, the lattice walk in ``derive`` meets
-    # at most as many vanishing sets as the order has divisors.
-    pairs = zip(spec.generator_exponents, spec.orders)
-    order = math.lcm(*(m // math.gcd(e, m) for e, m in pairs))
+    derived = derive(spec)
+    order = derived.order
     if order < 2:
         raise DomainError("the code has a single element; distances are undefined")
     if order > order_budget:
         raise BudgetError(
             f"order {order} exceeds the order budget {order_budget}"
         )
-    derived = derive(spec)
 
     d_h, delta_h = min_hamming_distance(spec, derived)
     support = derived.support

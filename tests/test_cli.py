@@ -137,8 +137,7 @@ class TestCyclic:
             "--orders", ",".join(map(str, primes)),
             "--generator", ",".join("1" * len(primes)),
         )
-        # The order, the product of the 25 primes, is refused before derive
-        # walks its 2^25 vanishing sets.
+        # The order, the product of the 25 primes, exceeds the order budget.
         assert code == 3
         assert out == ""
         assert "order" in err

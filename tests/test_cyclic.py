@@ -22,6 +22,9 @@ from gridcodes import (
 )
 
 
+PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
+
+
 def vanishing_sets_by_subsets(derived):
     """Reference: the empty set, then every support subset of lcm below the
     order that no further support index divides, by size and then lexically."""
@@ -64,19 +67,16 @@ class TestDerivation:
         assert derived.min_gcd == 2
         assert derived.order == 4
         assert derived.hat_sides == {0: 4, 1: 4, 2: 2, 3: 2}
-        assert set(derived.vanishing_sets) == {frozenset(), frozenset({2, 3})}
+        assert vanishing_sets_by_subsets(derived) == (frozenset(), frozenset({2, 3}))
 
-    def test_vanishing_set_limit(self, monkeypatch):
-        # Pairwise coprime sides make every proper support subset vanish.
-        primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
-        assert len(primes) == 25
-        with pytest.raises(BudgetError):
-            derive(CyclicCodeSpec(tuple(primes), (1,) * 25))
-        monkeypatch.setattr(cyclic, "MAX_VANISHING_SETS", 8)
-        derive.cache_clear()
-        assert len(derive(CyclicCodeSpec((2, 3, 5), (1, 1, 1))).vanishing_sets) == 7
-        with pytest.raises(BudgetError):
-            derive(CyclicCodeSpec((2, 3, 5, 7), (1, 1, 1, 1)))
+    def test_pairwise_coprime_sides(self):
+        # Every proper support subset vanishes on some power: 2^25 and 2^17
+        # vanishing sets, none of which the coprime-base formula enumerates.
+        assert len(PRIMES) == 25
+        for primes in (PRIMES, PRIMES[:17]):
+            spec = CyclicCodeSpec(tuple(primes), (1,) * len(primes))
+            assert derive(spec).order == math.prod(primes)
+            assert min_hamming_distance(spec) == (1, len(primes))
 
     def test_codewords(self):
         spec = CyclicCodeSpec((8, 8, 8, 8), (2, 2, 4, 4))
@@ -123,12 +123,19 @@ class TestHammingDistances:
                 continue
             spec = CyclicCodeSpec(orders, exps)
             derived = derive(spec)
-            assert derived.vanishing_sets == vanishing_sets_by_subsets(derived), spec
             if derived.order < 2:
                 continue
+            # The paper's form: the support less the largest vanishing set.
+            size = len(derived.support)
+            largest = max(map(len, vanishing_sets_by_subsets(derived)))
+            assert min_hamming_distance(spec) == (size - largest, size), spec
             # verify=True asserts the closed form against the power scan.
             min_hamming_distance(spec, verify=True)
             checked += 1
+        # Refined orders 3 and 2 from sides past int64.
+        spec = CyclicCodeSpec((3 * 2**64, 10), (2**64, 5))
+        assert derive(spec).order == 6
+        assert min_hamming_distance(spec, verify=True) == (1, 2)
         # Support 30: far past any subset enumeration.
         spec = CyclicCodeSpec((2, 3, 4, 6) * 7 + (2, 3), (1,) * 30)
         derived = derive(spec)
@@ -141,6 +148,12 @@ class TestHammingDistances:
         with pytest.raises(GridCodesError):
             min_hamming_distance(spec, verify=True)
 
+    def test_verify_scan_is_bounded(self):
+        spec = CyclicCodeSpec((2**40,), (1,))
+        with pytest.raises(BudgetError, match="order budget"):
+            min_hamming_distance(spec, verify=True)
+        assert min_hamming_distance(spec) == (1, 1)
+
     def test_order_two_code(self):
         spec = CyclicCodeSpec((4, 4), (2, 2))
         assert derive(spec).order == 2
@@ -150,10 +163,11 @@ class TestHammingDistances:
 class TestCodewordDistance:
     def test_worked_example(self):
         spec = CyclicCodeSpec((8, 8, 8, 8), (2, 2, 4, 4))
-        derive.cache_clear()
         assert codeword_distance(spec, 0, 1) == 12
         assert codeword_distance(spec, 0, 2) == 8
-        assert derive.cache_info().misses == 1
+        # The refined orders of 25 primes derive without enumerating subsets.
+        spec25 = CyclicCodeSpec(tuple(PRIMES), (1,) * 25)
+        assert codeword_distance(spec25, 0, 1) == 25
 
     def test_equals_exponent_vector_distance(self):
         rng = random.Random(31)
