@@ -123,9 +123,7 @@ def cmd_analyze(args) -> int:
         raise DomainError(
             f"malformed JSON in {args.code} at line {exc.lineno}, column {exc.colno}"
         )
-    radii = []
-    if args.covering:
-        radii = [int(part) for part in args.covering.split(",")]
+    radii = parse_point(args.covering) if args.covering else ()
     analysis = codes.analyze(code, requested_covering_radii=radii, budget=_budget())
     _emit(analysis.to_json_dict(), args.format)
     return EXIT_OK
@@ -137,7 +135,7 @@ def cmd_search(args) -> int:
         budget = _budget(codes.DEFAULT_NODE_BUDGET)
         size, code = codes.exact_max_code(grid, args.distance, node_budget=budget)
     else:
-        code = codes.greedy_code(grid, args.distance)
+        code = codes.greedy_code(grid, args.distance, budget=_budget())
         size = code.size()
     payload = {"mode": args.mode, "size": size}
     payload.update(code.to_json_dict())
@@ -148,10 +146,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_cyclic(args) -> int:
-    spec = cyclic.CyclicCodeSpec(
-        tuple(int(p) for p in args.orders.split(",")),
-        tuple(int(p) for p in args.generator.split(",")),
-    )
+    spec = cyclic.CyclicCodeSpec(parse_point(args.orders), parse_point(args.generator))
     chain = cyclic.bound_chain(spec)
     payload = chain.to_json_dict()
     if chain.order <= args.codeword_limit:

@@ -10,14 +10,20 @@ and a time budget by the clock.  The greedy search adds points in scan
 order and is maximal by construction, which is exactly the (d-1)-covering
 property.
 
-Every multi-point distance here (the conflict graph, the covering scan and
-the greedy scan) comes from the one kernel, ``grid.distance_block``.
+The covering radius and the default greedy scan work on the dense box and
+compute no pairwise distances: the covering radius is the largest value of
+the code's exact L1 distance transform, and the greedy scan clears a
+precomputed stencil of the later half of each chosen point's ball from a
+mask of free points.  The other multi-point distances here (the conflict
+graph and the greedy scan in an explicit order) come from the one kernel,
+``grid.distance_block``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -27,7 +33,6 @@ from .balls import eta_value
 from .bounds import hamming_bound
 from .errors import BudgetError, DomainError
 from .grid import (
-    CHUNK,
     DEFAULT_BUDGET,
     Grid,
     Point,
@@ -73,7 +78,18 @@ class GridCode:
             raise DomainError(
                 'code JSON must be an object with "dims" and "codewords"'
             ) from None
-        return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
+        if not (
+            isinstance(dims, list)
+            and isinstance(words, list)
+            and all(isinstance(w, list) for w in words)
+        ):
+            raise DomainError(
+                'code JSON needs "dims" as a list and "codewords" as a list of lists'
+            )
+        try:
+            return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
+        except (TypeError, ValueError):
+            raise DomainError("code JSON sides and coordinates must be integers") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -112,19 +128,36 @@ class CodeAnalysis:
 
 
 def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
-    """Smallest s such that the s-balls around the codewords cover the grid."""
+    """Smallest s such that the s-balls around the codewords cover the grid.
+
+    This is the largest value of the exact L1 distance transform of the code
+    on the dense box (Rosenfeld & Pfaltz 1966).  Starting from 0 at the
+    codewords and diameter + 1 elsewhere, one forward and one backward
+    running minimum per axis, min over i of a[i] + |i - j|, leave every
+    point's distance to the nearest codeword: O(n·V) for volume V.
+    """
+    import numpy as np
     grid = code.grid
     if grid.volume() > budget:
         raise BudgetError(
             f"covering radius needs a full scan of {grid.volume()} points, "
             f"budget is {budget}"
         )
-    points = grid.points()
-    worst = 0
-    while block := list(itertools.islice(points, CHUNK)):
-        nearest = distance_block(block, code.codewords, grid.dims, "manhattan")
-        worst = max(worst, int(nearest.min(axis=1).max()))
-    return worst
+    far = grid.diameter() + 1
+    dist = np.full(grid.dims, far, dtype=np.int32 if far < 2**31 else np.int64)
+    dist[tuple(np.array(code.codewords).T)] = 0
+    for axis, m in enumerate(grid.dims):
+        if m == 1:
+            continue
+        idx = np.arange(m, dtype=dist.dtype).reshape(
+            [-1 if i == axis else 1 for i in range(grid.n)]
+        )
+        # On the flipped view the same pass runs from the far end.
+        for view in (dist, np.flip(dist, axis)):
+            view -= idx
+            np.minimum.accumulate(view, axis=axis, out=view)
+            view += idx
+    return int(dist.max())
 
 
 def covering_property(code: GridCode, r: int, budget: int = DEFAULT_BUDGET) -> bool:
@@ -139,6 +172,9 @@ def analyze(
     requested_covering_radii=(),
     budget: int = DEFAULT_BUDGET,
 ) -> CodeAnalysis:
+    for r in requested_covering_radii:
+        if r < 0:
+            raise DomainError(f"radius {r} must be >= 0")
     grid = code.grid
     mins: dict[str, int] = {}
     maxs: dict[str, int] = {}
@@ -165,26 +201,109 @@ def analyze(
     )
 
 
-def greedy_code(grid: Grid, distance: int, order=None) -> GridCode:
+def _later_half_ball(dims: tuple[int, ...], r: int):
+    """The stencil of the lexicographic greedy scan: the later half of the r-ball.
+
+    Returns ``(flat, masks)``.  ``flat`` holds the flat box offsets of the
+    o with |o|_1 <= r and |o_i| <= dims[i] - 1 that lead to a later point;
+    with |o_i| < dims[i] that is exactly the o with a positive flat offset.
+    ``masks[i]`` maps each coordinate c within the stencil's reach of a face
+    of axis i to the offsets that stay inside that axis from c; the other
+    coordinates keep every offset.  Returns None when the stencil would hold
+    more offsets than the box has points, or its masks more cells than the
+    row scan's n·V point array has bytes: the row scan is cheaper then.
+    """
+    import numpy as np
+    volume = math.prod(dims)
+    cols = []
+    weight = np.zeros(1, dtype=np.int64)
+    for m in reversed(dims):
+        # Each offset so far extends by every step that keeps it in the ball.
+        # No extension drops an offset, so the counts only grow.
+        reach = np.minimum(m - 1, r - weight)
+        count = 2 * reach + 1
+        total = int(count.sum())
+        if total > 2 * volume + 1:
+            return None
+        rep = np.repeat(np.arange(len(weight)), count)
+        step = np.arange(total) - np.repeat(np.cumsum(count) - count + reach, count)
+        cols = [step] + [col[rep] for col in cols]
+        weight = weight[rep] + np.abs(step)
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    flat = sum(col * stride for col, stride in zip(cols, strides))
+    later = flat > 0
+    cols = [col[later] for col in cols]
+    edges = [int(np.abs(col).max(initial=0)) for col in cols]
+    cells = len(cols[0]) * sum(min(m, 2 * e) for m, e in zip(dims, edges))
+    if cells > 8 * len(dims) * volume:
+        return None
+    masks = [
+        {
+            c: (col >= -c) & (col < m - c)
+            for c in itertools.chain(range(min(e, m)), range(max(e, m - e), m))
+        }
+        for col, m, e in zip(cols, dims, edges)
+    ]
+    return flat[later], masks
+
+
+def greedy_code(
+    grid: Grid, distance: int, order=None, budget: int = DEFAULT_BUDGET
+) -> GridCode:
     """Maximal code with minimum distance >= distance, built by scan order.
 
     ``order`` defaults to the lexicographic point order; pass an explicit
-    sequence of points to experiment with other scans.
+    sequence of points to experiment with other scans.  The scan walks a
+    mask of free scan positions.  By default a position is a flat index of
+    the box, and each chosen point clears the later half of its
+    (distance-1)-ball, a stencil of flat offsets precomputed once
+    (``_later_half_ball``); BudgetError is raised when the box holds more
+    than ``budget`` points.  An explicit order, or a stencil that would
+    outgrow the box, clears by the chosen point's ``distance_block`` row.
     """
     import numpy as np
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
-    pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
-    arr = point_array(pts, grid.dims)
-    # free[j]: pts[j] is at distance >= distance from every chosen point.  A
-    # repeated point is at distance 0 from itself, so it is never chosen twice.
-    free = np.ones(len(pts), dtype=bool)
+    stencil = None
+    if order is None:
+        if grid.volume() > budget:
+            raise BudgetError(
+                f"greedy scan needs a mask of {grid.volume()} points, "
+                f"budget is {budget}"
+            )
+        stencil = _later_half_ball(grid.dims, distance - 1)
+    if stencil is None:
+        pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
+        arr = point_array(pts, grid.dims)
+        count = len(pts)
+    else:
+        flat, masks = stencil
+        strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
+        count = grid.volume()
+    # free[p]: scan position p is at distance >= distance from every chosen
+    # point.  A repeated point is at distance 0 from itself, so it is never
+    # chosen twice.
+    free = np.ones(count, dtype=bool)
     chosen: list[Point] = []
-    while free.any():
-        i = int(free.argmax())
-        chosen.append(pts[i])
-        far = distance_block(arr[i : i + 1], arr[i:], grid.dims, "manhattan")[0]
-        free[i:] &= far >= distance
+    p = 0
+    while p < count and free[p]:
+        if stencil is None:
+            chosen.append(pts[p])
+            far = distance_block(arr[p : p + 1], arr[p:], grid.dims, "manhattan")[0]
+            free[p:] &= far >= distance
+        else:
+            word, rest, keep = [], p, None
+            for stride, axis_masks in zip(strides, masks):
+                c, rest = divmod(rest, stride)
+                word.append(c)
+                mask = axis_masks.get(c)
+                if mask is not None:
+                    keep = mask if keep is None else keep & mask
+            chosen.append(tuple(word))
+            free[p + (flat if keep is None else flat[keep])] = False
+        p += 1
+        if p < count:
+            p += int(free[p:].argmax())
     return GridCode(grid, tuple(chosen))
 
 

@@ -109,6 +109,30 @@ class TestSearchAnalyzeRoundTrip:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("covering", ["1,x", "-1", "2,-1"])
+    def test_bad_covering_radii(self, capsys, tmp_path, covering):
+        path = tmp_path / "code.json"
+        path.write_text('{"dims": [5, 2], "codewords": [[0, 0], [4, 1]]}')
+        code, out, err = run_cli(
+            capsys, "analyze", "--code", str(path), "--covering", covering
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("text", [
+        '{"dims": [5, 2], "codewords": 5}',
+        '{"dims": 5, "codewords": [[0]]}',
+        '{"dims": [5], "codewords": [[null]]}',
+    ])
+    def test_malformed_code_file(self, capsys, tmp_path, text):
+        path = tmp_path / "code.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "analyze", "--code", str(path))
+        assert code == 2
+        assert out == ""
+        assert "code JSON" in err
+
 
 class TestCyclic:
     def test_worked_example(self, capsys):
@@ -129,6 +153,14 @@ class TestCyclic:
         )
         assert code == 2
         assert "trivial" in err
+
+    def test_unparsable_orders(self, capsys):
+        code, out, err = run_cli(
+            capsys, "cyclic", "--orders", "4,x", "--generator", "1,1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "4,x" in err
 
     def test_too_many_vanishing_sets(self, capsys):
         primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
@@ -165,6 +197,17 @@ class TestDeterminismAndBudget:
             assert run.stdout == b""
             assert b"<= A <=" in run.stderr
         assert runs[0].stderr == runs[1].stderr
+
+    def test_greedy_search_budget(self):
+        argv = [
+            sys.executable, "-m", "gridcodes.cli",
+            "search", "--grid", "300,300", "--distance", "3",
+        ]
+        env = dict(os.environ, GRIDCODES_BUDGET="1000")
+        run = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert run.returncode == 3
+        assert run.stdout == b""
+        assert b"budget" in run.stderr
 
     def test_exact_search_default_node_budget(self, capsys, monkeypatch):
         # Without GRIDCODES_BUDGET the search stops at DEFAULT_NODE_BUDGET

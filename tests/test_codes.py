@@ -23,7 +23,12 @@ from gridcodes import (
     manhattan_distance,
     pairwise_distance_extremes,
 )
-from gridcodes.codes import _clique_cover, _conflict_graph, max_independent_set
+from gridcodes.codes import (
+    _clique_cover,
+    _conflict_graph,
+    _later_half_ball,
+    max_independent_set,
+)
 from gridcodes.grid import CHUNK
 
 
@@ -73,6 +78,12 @@ class TestGridCode:
     def test_from_json_dict_rejects_malformed(self):
         with pytest.raises(DomainError):
             GridCode.from_json_dict({"dims": [5, 2]})
+        for dims, words in (
+            ([5, 2], 5), ([5, 2], [5]), ([5, 2], "ab"), ([5, 2], None),
+            (5, [[0]]), (["a"], [[0]]), ([5], [["a"]]), ([5], [[None]]),
+        ):
+            with pytest.raises(DomainError):
+                GridCode.from_json_dict({"dims": dims, "codewords": words})
 
 
 class TestAnalysis:
@@ -106,7 +117,7 @@ class TestAnalysis:
         assert covering_radius(code) == 2
         assert covering_property(code, 2)
         assert not covering_property(code, 1)
-        # Random codes on grids that span several kernel blocks.
+        # Random codes on grids of more than CHUNK points.
         rng = random.Random(11)
         for dims in ((30, 20), (9, 8, 10), (4, 5, 6, 7)):
             g = Grid(dims)
@@ -115,6 +126,16 @@ class TestAnalysis:
             for size in (1, 5, 40):
                 code = GridCode(g, tuple(rng.sample(pts, size)))
                 assert covering_radius(code) == per_point_covering_radius(code)
+        # A long line, sides of 1, one codeword and the whole grid as the code.
+        for dims in ((700,), (1,), (1, 1, 1), (1, 9, 1, 4), (7, 1, 5)):
+            g = Grid(dims)
+            pts = list(g.points())
+            codes = [GridCode(g, (p,)) for p in (pts[0], pts[-1], pts[len(pts) // 3])]
+            codes += [GridCode(g, tuple(pts))]
+            codes += [GridCode(g, tuple(rng.sample(pts, min(3, len(pts)))))]
+            for code in codes:
+                assert covering_radius(code) == per_point_covering_radius(code)
+        assert covering_radius(GridCode(Grid((700,)), ((0,),))) == 699
 
     def test_covering_budget(self):
         code = GridCode(Grid((40, 40)), ((0, 0),))
@@ -125,6 +146,11 @@ class TestAnalysis:
         code = GridCode(Grid((5, 2)), ((0, 0), (4, 1)))
         result = analyze(code, requested_covering_radii=(1, 2, 3))
         assert result.covering_property == {1: False, 2: True, 3: True}
+
+    def test_negative_requested_radius(self):
+        code = GridCode(Grid((5, 2)), ((0, 0), (4, 1)))
+        with pytest.raises(DomainError, match="radius -1"):
+            analyze(code, requested_covering_radii=(2, -1))
 
 
 def test_distance_outputs_are_python_ints():
@@ -160,6 +186,39 @@ class TestGreedy:
         huge = Grid((2**64,))
         code = greedy_code(huge, 2**63, order=[(2**63,), (1,), (0,)])
         assert code.codewords == ((0,), (2**63,))
+
+    def test_stencil_scan_matches_row_scan(self):
+        # The default scan clears a ball stencil; an explicit lexicographic
+        # order takes the distance_block rows, the reference.
+        rng = random.Random(12)
+        for trial in range(150):
+            n = trial % 5 + 1
+            g = Grid(tuple(rng.randint(1, 9 if n < 4 else 5) for _ in range(n)))
+            pts = list(g.points())
+            for d in {1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}:
+                code = greedy_code(g, d)
+                assert code == greedy_code(g, d, order=pts), (g.dims, d)
+                assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
+                assert covering_radius(code) <= d - 1
+
+    def test_row_scan_past_stencil(self):
+        # From radius 3 on, the half ball clipped to |o_i| <= 2 holds more
+        # than the box's 9 offsets.
+        g = Grid((3, 3))
+        assert len(_later_half_ball(g.dims, 2)[0]) == 6
+        assert _later_half_ball(g.dims, 3) is None
+        assert greedy_code(g, 5).codewords == ((0, 0),)
+        assert greedy_code(g, 4).codewords == ((0, 0), (2, 2))
+        # On a long line the stencil's face masks would outgrow the row scan.
+        line = Grid((2000,))
+        assert _later_half_ball(line.dims, 149) is None
+        assert greedy_code(line, 150) == greedy_code(line, 150, order=line.points())
+
+    def test_budget(self):
+        with pytest.raises(BudgetError, match="budget is 100"):
+            greedy_code(Grid((40, 40)), 3, budget=100)
+        # An explicit order is bounded by its own length.
+        assert greedy_code(Grid((40, 40)), 3, order=[(0, 0)], budget=100).size() == 1
 
 
 class TestExactSearch:
