@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -24,12 +25,15 @@ from gridcodes import (
     pairwise_distance_extremes,
 )
 from gridcodes.codes import (
+    _best_incumbent,
     _clique_cover,
     _conflict_graph,
     _later_half_ball,
     max_independent_set,
 )
 from gridcodes.grid import CHUNK
+
+from conftest import random_grid_family
 
 
 def per_point_covering_radius(code):
@@ -40,13 +44,13 @@ def per_point_covering_radius(code):
     )
 
 
-def brute_force_max_code(grid, distance):
+def brute_force_max_code(grid, distance, metric="manhattan"):
     """Reference exponential search, usable only on tiny grids."""
     pts = list(grid.points())
     best = 1
     for size in range(len(pts), 1, -1):
         for combo in itertools.combinations(pts, size):
-            if code_min_distance(grid, combo) >= distance:
+            if code_min_distance(grid, combo, metric) >= distance:
                 return size
     return best
 
@@ -284,15 +288,62 @@ class TestExactSearch:
         message = str(stop.value)
         assert "2000" in message and "<= A <=" in message
         lower, upper = (int(x) for x in message.rsplit(": ", 1)[1].split(" <= A <= "))
+        assert (lower, upper) == (stop.value.lower, stop.value.upper)
         assert lower <= upper <= bound_report(g, 3).hamming_upper
+        # A stopped search has only seen a suffix of the points, so the lower
+        # bound also takes the greedy incumbent of the graph it searched,
+        # whose axes are sorted longest first.
+        pts, adj = _conflict_graph(Grid((8, 4, 4, 4)), 3, "manhattan")
+        assert lower >= len(_best_incumbent(pts, adj, 4, 3))
 
     def test_slowest_family_instances(self):
-        # Sizes at d = 3 confirmed by a HiGHS MILP.
-        for dims, size in [((9, 9), 17), ((1, 6, 4, 4), 16), ((4, 6, 4), 16), ((4, 3, 7), 14)]:
+        # Sizes confirmed by a HiGHS MILP.
+        cases = [
+            ((9, 9), 3, 17), ((1, 6, 4, 4), 3, 16), ((4, 6, 4), 3, 16),
+            ((4, 3, 7), 3, 14), ((9, 7, 3), 3, 30), ((4, 3, 9, 3), 4, 27),
+        ]
+        for dims, d, size in cases:
             g = Grid(dims)
-            found, code = exact_max_code(g, 3, node_budget=10**6)
+            found, code = exact_max_code(g, d, node_budget=10**6)
             assert found == size == code.size(), dims
-            assert code_min_distance(g, code.codewords) >= 3
+            assert code_min_distance(g, code.codewords) >= d
+
+    def test_witness_in_callers_axis_order(self):
+        # The search runs with the axes sorted longest first and maps its
+        # witness back to the caller's axes.
+        for dims in [(3, 7, 2), (2, 9, 7), (1, 3, 2), (2, 4, 1)]:
+            g = Grid(dims)
+            for metric in ("manhattan", "lee", "hamming"):
+                for d in range(2, 5):
+                    if (dims, metric, d) == ((2, 9, 7), "hamming", 2):
+                        continue  # the Hamming metric has no bound to stop at
+                    size, code = exact_max_code(g, d, metric=metric, node_budget=10**5)
+                    assert code.grid.dims == dims and code.size() == size
+                    if size > 1:
+                        assert code_min_distance(g, code.codewords, metric) >= d
+                    if g.volume() <= 8:
+                        assert size == brute_force_max_code(g, d, metric), (dims, metric, d)
+                    elif g.volume() <= 42:
+                        _, adj = _conflict_graph(g, d, metric)
+                        assert size == len(exhaustive_independent_set(adj)), (dims, metric, d)
+                    elif metric == "manhattan":
+                        report = bound_report(g, d)
+                        assert report.gv_lower_strong <= size <= report.hamming_upper
+
+    def test_criterion_5_family_at_fixed_node_budget(self):
+        # The criterion-5 family (volume <= 512) at a fixed node budget, so
+        # the count does not depend on machine load; it may only go down.
+        unsolved = 0
+        for dims in sorted(set(random_grid_family())):
+            if math.prod(dims) > 512:
+                continue
+            grid = Grid(dims)
+            for d in range(1, grid.diameter() + 2):
+                try:
+                    exact_max_code(grid, d, node_budget=20_000)
+                except BudgetError:
+                    unsolved += 1
+        assert unsolved <= 48
 
 
 def exhaustive_independent_set(adj):
@@ -325,16 +376,12 @@ class TestIndependentSetSolver:
         for trial in range(120):
             n = rng.randint(1, 16)
             adj = random_graph(rng, n, 0.1 + 0.6 * trial / 119)
-            optimum = sorted(exhaustive_independent_set(adj))
-            smaller = optimum[1:]
-            for initial in (None, optimum, smaller):
-                found = max_independent_set(adj, initial=initial)
-                assert found == sorted(found)
-                assert all(0 <= v < n for v in found)
-                assert not any(adj[u] >> v & 1 for u in found for v in found)
-                assert len(found) == len(optimum), (adj, initial)
-            # Nothing beats an optimal start, so it comes back unchanged.
-            assert max_independent_set(adj, initial=optimum[::-1]) == optimum
+            optimum = exhaustive_independent_set(adj)
+            found = max_independent_set(adj)
+            assert found == sorted(found)
+            assert all(0 <= v < n for v in found)
+            assert not any(adj[u] >> v & 1 for u in found for v in found)
+            assert len(found) == len(optimum), adj
 
     def test_node_budget(self):
         rng = random.Random(4)
@@ -348,6 +395,22 @@ class TestIndependentSetSolver:
         alpha = len(exhaustive_independent_set(adj))
         assert first.value.lower <= alpha <= first.value.upper
         assert len(max_independent_set(adj, node_budget=10**6)) == alpha
+        # Every stop brackets the optimum, and its upper bound never exceeds
+        # the clique cover of the whole graph or the caller's bound.
+        for trial in range(60):
+            n = rng.randint(8, 30)
+            adj = random_graph(rng, n, 0.1 + 0.5 * trial / 59)
+            alpha = len(exhaustive_independent_set(adj))
+            root = len(_clique_cover(adj, (1 << n) - 1))
+            for budget in (1, 3, 10, 40):
+                for upper in (None, alpha + 1):
+                    try:
+                        found = max_independent_set(adj, upper=upper, node_budget=budget)
+                    except BudgetError as stop:
+                        assert stop.lower <= alpha <= stop.upper <= root
+                        assert upper is None or stop.upper <= upper
+                    else:
+                        assert len(found) == alpha
 
     def test_clique_partition_covers(self):
         g = Grid((3, 4))
