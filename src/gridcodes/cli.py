@@ -65,23 +65,15 @@ def cmd_ball_size(args) -> int:
         report = balls.ball_size_at(grid, parse_point(args.center), args.radius)
     payload = report.to_json_dict()
     if args.verify:
-        budget = _budget()
+        # The first points of outermost_set or innermost_set (2^n points each).
         if args.kind == "at":
-            sizes = [
-                len(enumerate_ball(grid, BallSpec(report.center, args.radius),
-                                   budget=budget))
-            ]
-            oracle = sizes[0]
+            center = report.center
+        elif args.kind == "eta":
+            center = (0,) * grid.n
         else:
-            centers = (
-                balls.outermost_set(grid)
-                if args.kind == "eta"
-                else balls.innermost_set(grid)
-            )
-            oracle = len(
-                enumerate_ball(grid, BallSpec(sorted(centers)[0], args.radius),
-                               budget=budget)
-            )
+            center = tuple((m - 1) // 2 for m in grid.dims)
+        ball = BallSpec(center, args.radius)
+        oracle = len(enumerate_ball(grid, ball, budget=_budget()))
         payload["verified"] = oracle == report.value
         if not payload["verified"]:
             print(

@@ -42,7 +42,7 @@ from .grid import (
     point_array,
 )
 
-#: Largest grid volume the exact conflict-graph search accepts by default.
+#: Largest grid volume the exact conflict-graph search accepts.
 DEFAULT_EXACT_VOLUME = 512
 #: Search nodes the CLI grants an exact search (0.1-0.25 s on the hardest
 #: volume-512 grids).
@@ -473,7 +473,6 @@ def exact_max_code(
     grid: Grid,
     distance: int,
     metric: str = "manhattan",
-    max_volume: int = DEFAULT_EXACT_VOLUME,
     time_budget: float | None = None,
     node_budget: int | None = None,
 ) -> tuple[int, GridCode]:
@@ -482,21 +481,22 @@ def exact_max_code(
     Closed forms handle distance 1, distance 2, one effective dimension,
     and distances beyond the diameter.  Otherwise ``max_independent_set``
     searches the conflict graph of the grid with its axes sorted longest
-    first, stopping early at the Hamming bound under the Manhattan metric,
-    and the witness is mapped back to the caller's axis order.  The grid
-    volume is capped, and the optional node and wall-clock budgets of the
-    search abort with BudgetError, whose message gives the nodes searched
-    and the proven ``lower <= A <= upper``; ``lower`` is at least the best
-    of a few greedy scans (``_best_incumbent``).  Use
-    greedy_code past these limits.
+    first, stopping early at the Hamming bound under the Manhattan metric
+    and at the Singleton bound under the Hamming metric, and the witness is
+    mapped back to the caller's axis order.  The grid volume is capped at
+    ``DEFAULT_EXACT_VOLUME``, and the optional node and wall-clock budgets
+    of the search abort with BudgetError, whose message gives the nodes
+    searched and the proven ``lower <= A <= upper``; ``lower`` is at least
+    the best of a few greedy scans (``_best_incumbent``).  Use greedy_code
+    past these limits.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     volume = grid.volume()
-    if volume > max_volume:
+    if volume > DEFAULT_EXACT_VOLUME:
         raise BudgetError(
-            f"exact search limited to volume {max_volume} (grid has {volume}); "
-            "consider greedy_code"
+            f"exact search limited to volume {DEFAULT_EXACT_VOLUME} "
+            f"(grid has {volume}); consider greedy_code"
         )
     if distance == 1:
         return volume, GridCode(grid, tuple(grid.points()))
@@ -519,8 +519,14 @@ def exact_max_code(
     # slab sub-box plus a partial slab, which keeps the c-vector tight.
     axes = sorted(range(grid.n), key=lambda a: -dims[a])
     pts, adj = _conflict_graph(Grid(tuple(dims[a] for a in axes)), distance, metric)
-    # Under the Manhattan metric the Hamming bound holds as well.
-    upper = hamming_bound(grid, distance) if metric == "manhattan" else None
+    # Under the Manhattan metric the Hamming bound holds as well.  Under the
+    # Hamming metric the Singleton bound does: deleting the d - 1 longest
+    # axes keeps the words distinct.  Neither holds for the Lee metric.
+    upper = None
+    if metric == "manhattan":
+        upper = hamming_bound(grid, distance)
+    elif metric == "hamming":
+        upper = math.prod(sorted(dims)[:max(grid.n - distance + 1, 0)])
     try:
         chosen = max_independent_set(
             adj, upper=upper, time_budget=time_budget, node_budget=node_budget

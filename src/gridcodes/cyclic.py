@@ -6,11 +6,12 @@ element is materialized through modular arithmetic only, never as abstract
 group elements.  The k-th power vanishes on the axes whose refined order m̂ᵢ
 divides k; the Hamming distances come from gcds over a pairwise coprime base
 of the m̂ᵢ (see ``min_hamming_distance``), with no factoring and no subset
-enumeration.  The Lee and
-Manhattan distances of the chain come from the table of powers: the pairs
-at power difference j differ by the j-th power, whose Lee weight bounds
-their Manhattan distance, so ``bound_chain`` scans one difference at a time
-in bound order instead of all pairs.
+enumeration.  The Lee and Manhattan distances of the chain come from one
+table of the powers over the refined generators, with axis i weighted by lᵢ
+for the ambient coordinates and by 1 for the refined ones: the pairs at
+power difference j differ by the j-th power, whose Lee weight bounds their
+Manhattan distance, so ``bound_chain`` scans one difference at a time in
+bound order instead of all pairs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, GridCodesError
-from .grid import distance_block
 
 #: Largest cyclic-code order that ``bound_chain``'s power-difference scans
 #: and ``min_hamming_distance``'s ``verify`` power scan accept by default.
@@ -214,41 +214,54 @@ class DistanceChain:
         }
 
 
-def _power_extremes(coefficients, sides, order) -> tuple[int, int, int]:
-    """(Lee minimum, Manhattan minimum, Manhattan maximum) of the powers
-    k * coefficients mod sides, k < order.
+def _power_extremes(derived: CyclicDerived) -> tuple[int, ...]:
+    """(d_lee, d_manhattan, delta_manhattan, hat_d_lee, hat_d_manhattan).
 
-    Powers k and k + j differ on axis i by s or m - s, where s is the j-th
+    The k-th power has refined coordinates k·cᵢ mod m̂ᵢ, and as eᵢ = lᵢ·cᵢ
+    and mᵢ = lᵢ·m̂ᵢ its ambient ones are these times lᵢ: one table of refined
+    powers serves both, with axis i weighted by lᵢ (ambient) or 1 (refined).
+    Powers k and k + j differ on axis i by s or m̂ - s, where s is the j-th
     power's coordinate, so their distance lies between the j-th power's Lee
-    weight L(j) and U(j), the sum of m - min(s, m - s) over its non-zero
-    coordinates.  Differences j <= order/2 are scanned, one row of all k
-    each, by ascending L for the minimum and descending U for the maximum,
-    until the bound cannot beat the extreme so far.  As in
-    ``grid.point_array``, entries are Python ints where int64 could overflow.
+    weight L(j) and U(j), the sum of m̂ - min(s, m̂ - s) over its non-zero
+    coordinates, both weighted like the distance.  Differences j <= order/2
+    are scanned, one row of all k each, by ascending L for each minimum and
+    by descending U for the ambient maximum, until the bound cannot beat the
+    extreme so far.  As in ``grid.point_array``, entries are Python ints
+    where int64 could overflow.
     """
     import numpy as np
-    fits = max(order * max(sides), sum(sides)) <= np.iinfo(np.int64).max
-    k = np.arange(order, dtype=np.int64 if fits else object)[:, None]
-    m = np.array(sides, dtype=k.dtype)
-    table = k * np.array(coefficients, dtype=k.dtype) % m
-    lee = distance_block(table[:1], table, sides, "lee")[0]
-    upper = (np.where(table != 0, m, 0).sum(axis=1) - lee).tolist()
-    lee = lee.tolist()
+    support, order = derived.support, derived.order
+    largest = max(order * max(derived.hat_sides.values()),
+                  sum(derived.spec.orders[i] for i in support))
+    dtype = np.int64 if largest <= np.iinfo(np.int64).max else object
 
-    def row(j):
-        return np.abs(table - np.roll(table, -j, axis=0)).sum(axis=1)
+    def column(values):
+        return np.array([values[i] for i in support], dtype=dtype)
 
+    m, ambient = column(derived.hat_sides), column(derived.gcds)
+    table = np.arange(order, dtype=dtype)[:, None] * column(derived.cofactors) % m
+    axis_lee = np.minimum(table, m - table)
     diffs = range(1, order // 2 + 1)
-    low, high = math.inf, 0
-    for j in sorted(diffs, key=lee.__getitem__):
-        if lee[j] >= low:
-            break
-        low = min(low, int(row(j).min()))
+
+    def row(j, weights):
+        return (np.abs(table - np.roll(table, -j, axis=0)) * weights).sum(axis=1)
+
+    def minima(weights):
+        lee = (axis_lee * weights).sum(axis=1).tolist()
+        low = math.inf
+        for j in sorted(diffs, key=lee.__getitem__):
+            if lee[j] >= low:
+                break
+            low = min(low, int(row(j, weights).min()))
+        return min(lee[1:]), low
+
+    upper = ((np.where(table != 0, m, 0) - axis_lee) * ambient).sum(axis=1).tolist()
+    high = 0
     for j in sorted(diffs, key=upper.__getitem__, reverse=True):
         if upper[j] <= high:
             break
-        high = max(high, int(row(j).max()))
-    return min(lee[1:]), low, high
+        high = max(high, int(row(j, ambient).max()))
+    return (*minima(ambient), high, *minima(1))
 
 
 def bound_chain(
@@ -257,33 +270,21 @@ def bound_chain(
     """Exact distance parameters of the cyclic code, with the chain checked.
 
     Hamming and Lee minima shift with the group action, so scanning the
-    powers against the identity suffices; the Manhattan extremes (in both
-    the ambient and refined coordinates) do not, and come from comparing
-    the powers at one difference at a time, see ``_power_extremes``.
+    powers against the identity suffices; the Manhattan extremes do not, and
+    come from comparing the powers at one difference at a time.  Both
+    coordinate systems read one table of refined powers, see
+    ``_power_extremes``.
     """
     derived = derive(spec)
     order = derived.order
     if order < 2:
         raise DomainError("the code has a single element; distances are undefined")
     if order > order_budget:
-        raise BudgetError(
-            f"order {order} exceeds the order budget {order_budget}"
-        )
+        raise BudgetError(f"order {order} exceeds the order budget {order_budget}")
 
     d_h, delta_h = min_hamming_distance(spec, derived)
-    support = derived.support
-    sides = [spec.orders[i] for i in support]
-    hat_sides = [derived.hat_sides[i] for i in support]
-    d_lee, d_man, delta_man = _power_extremes(
-        [spec.generator_exponents[i] for i in support], sides, order
-    )
-    hat_d_lee, hat_d_man, _ = _power_extremes(
-        [derived.cofactors[i] for i in support], hat_sides, order
-    )
-
-    delta_upper = sum(
-        spec.orders[i] - derived.gcds[i] for i in derived.support
-    )
+    d_lee, d_man, delta_man, hat_d_lee, hat_d_man = _power_extremes(derived)
+    delta_upper = sum(spec.orders[i] - derived.gcds[i] for i in derived.support)
     chain = DistanceChain(
         spec=spec,
         order=order,

@@ -240,6 +240,20 @@ class TestDeterminismAndBudget:
         assert code == 2
         assert "GRIDCODES_BUDGET" in err
 
+    def test_verify_budget_applies_before_any_corner_set(self, capsys, monkeypatch):
+        # The eta and gamma centres are built directly, not picked from the
+        # 2^24 corners or centres, so the enumeration budget stops at once.
+        monkeypatch.setenv("GRIDCODES_BUDGET", "1000")
+        grid = ",".join(["2"] * 24)
+        for kind in ("eta", "gamma"):
+            code, out, err = run_cli(
+                capsys,
+                "ball-size", "--grid", grid, "--radius", "1", "--kind", kind, "--verify",
+            )
+            assert code == 3
+            assert out == ""
+            assert "ball enumeration would scan 16777216 points, budget is 1000" in err
+
 
 # Runs in a fresh interpreter: the closed-form subcommands must leave numpy
 # unloaded, and the first distance scan (cyclic) must load it.

@@ -272,6 +272,11 @@ class TestExactSearch:
         size, code = exact_max_code(g, 2, metric="hamming", time_budget=10)
         assert size == 3  # a diagonal: pairwise Hamming distance 2
         assert code_min_distance(g, code.codewords, "hamming") >= 2
+        # The Singleton bound 2 * 7 closes the search in a few hundred nodes;
+        # the clique cover alone stops at 14 <= A <= 28 after 10^5.
+        size, code = exact_max_code(Grid((2, 9, 7)), 2, metric="hamming", node_budget=1000)
+        assert size == 14
+        assert code_min_distance(code.grid, code.codewords, "hamming") >= 2
 
     def test_volume_cap(self):
         with pytest.raises(BudgetError):
@@ -315,8 +320,6 @@ class TestExactSearch:
             g = Grid(dims)
             for metric in ("manhattan", "lee", "hamming"):
                 for d in range(2, 5):
-                    if (dims, metric, d) == ((2, 9, 7), "hamming", 2):
-                        continue  # the Hamming metric has no bound to stop at
                     size, code = exact_max_code(g, d, metric=metric, node_budget=10**5)
                     assert code.grid.dims == dims and code.size() == size
                     if size > 1:

@@ -269,21 +269,29 @@ class TestBoundChain:
 
 
 def brute_manhattan(spec):
-    """(d_manhattan, delta_manhattan, hat_d_manhattan) over all pairs of powers."""
+    """(d_manhattan, delta_manhattan, hat_d_manhattan, d_lee, hat_d_lee) over
+    all pairs of powers."""
     derived = derive(spec)
     words = codewords(spec, derived)
     hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
+    hat_sides = [derived.hat_sides[i] for i in derived.support]
 
     def dist(a, b):
         return sum(abs(x - y) for x, y in zip(a, b))
 
+    def lee(a, b, sides):
+        return sum(min(abs(x - y), m - abs(x - y)) for x, y, m in zip(a, b, sides))
+
     ambient = [dist(a, b) for a, b in itertools.combinations(words, 2)]
     hat = min(dist(a, b) for a, b in itertools.combinations(hats, 2))
-    return min(ambient), max(ambient), hat
+    d_lee = min(lee(a, b, spec.orders) for a, b in itertools.combinations(words, 2))
+    hat_d_lee = min(lee(a, b, hat_sides) for a, b in itertools.combinations(hats, 2))
+    return min(ambient), max(ambient), hat, d_lee, hat_d_lee
 
 
 def chain_manhattan(chain):
-    return chain.d_manhattan, chain.delta_manhattan, chain.hat_d_manhattan
+    return (chain.d_manhattan, chain.delta_manhattan, chain.hat_d_manhattan,
+            chain.d_lee, chain.hat_d_lee)
 
 
 class TestDifferenceScan:
@@ -327,7 +335,7 @@ class TestDifferenceScan:
         spec = CyclicCodeSpec((4, 4), (1, 2))
         chain = bound_chain(spec)
         assert chain.order == 4
-        assert chain_manhattan(chain) == brute_manhattan(spec) == (2, 5, 2)
+        assert chain_manhattan(chain) == brute_manhattan(spec) == (2, 5, 2, 2, 2)
         assert min(
             codeword_distance(spec, k, (k + 1) % 4) for k in range(4)
         ) > chain.d_manhattan
@@ -346,6 +354,8 @@ class TestDifferenceScan:
         assert chain.hat_d_manhattan == (
             pairwise_distance_extremes(Grid(hat_sides), hats)[0]
         )
+        assert chain.d_lee == pairwise_distance_extremes(Grid(spec.orders), words, "lee")[0]
+        assert chain.hat_d_lee == pairwise_distance_extremes(Grid(hat_sides), hats, "lee")[0]
 
     def test_sides_past_int64(self):
         spec = CyclicCodeSpec((3 * 2**64, 5), (2**64, 1))
