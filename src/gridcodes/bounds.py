@@ -65,8 +65,13 @@ def bound_report(grid: Grid, distance: int) -> BoundReport:
 
 
 def hamming_bound(grid: Grid, distance: int) -> int:
-    """Upper bound on the size of a code with minimum distance >= distance."""
-    return bound_report(grid, distance).hamming_upper
+    """Upper bound on the size of a code with minimum distance >= distance.
+
+    The ``hamming_upper`` of ``bound_report``, without the lower bounds.
+    """
+    if distance < 1:
+        raise DomainError(f"design distance {distance} must be >= 1")
+    return grid.volume() // eta_value(grid.dims, (distance - 1) // 2)
 
 
 def gv_bound(grid: Grid, distance: int) -> tuple[int, int]:

@@ -15,9 +15,10 @@ The covering radius and the default greedy scan work on the dense box and
 compute no pairwise distances: the covering radius is the largest value of
 the code's exact L1 distance transform, and the greedy scan clears a
 precomputed stencil of the later half of each chosen point's ball from a
-mask of free points.  The other multi-point distances here (the conflict
-graph and the greedy scan in an explicit order) come from the one kernel,
-``grid.distance_block``.
+mask of free points.  The greedy scan in an explicit order takes its
+distances from the one kernel, ``grid.distance_block``.  The conflict graph
+grows its balls one radius at a time over the metric's graph on the box,
+without numpy.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .grid import (
     Grid,
     Point,
     distance_block,
+    metric_function,
     pairwise_distance_extremes,
     point_array,
 )
@@ -47,6 +49,11 @@ DEFAULT_EXACT_VOLUME = 512
 #: Search nodes the CLI grants an exact search (0.1-0.25 s on the hardest
 #: volume-512 grids).
 DEFAULT_NODE_BUDGET = 10**5
+#: Completed exact searches kept per process; the oldest is dropped first.
+SOLVED_LIMIT = 4096
+
+#: (canonical dims, distance, metric) -> (canonical witness, search nodes).
+_solved: dict[tuple, tuple[tuple[Point, ...], int]] = {}
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,15 @@ class GridCode:
         if len(set(words)) != len(words):
             raise DomainError("duplicate codewords are not allowed")
         object.__setattr__(self, "codewords", tuple(sorted(words)))
+
+    @classmethod
+    def _trusted(cls, grid: Grid, codewords: tuple[Point, ...]) -> "GridCode":
+        """A code from words built inside the grid: a non-empty sorted tuple
+        of distinct tuples of ints.  Nothing is validated."""
+        code = object.__new__(cls)
+        object.__setattr__(code, "grid", grid)
+        object.__setattr__(code, "codewords", codewords)
+        return code
 
     def size(self) -> int:
         return len(self.codewords)
@@ -306,27 +322,62 @@ def greedy_code(
         p += 1
         if p < count:
             p += int(free[p:].argmax())
-    return GridCode(grid, tuple(chosen))
+    # Both scans of the box choose in lexicographic order; an explicit
+    # order's points were validated and come in scan order.
+    return GridCode._trusted(grid, tuple(chosen if order is None else sorted(chosen)))
 
 
 @lru_cache(maxsize=8)
-def _distance_matrix(dims: tuple[int, ...], metric: str):
-    """All pairwise distances between the grid points, in lexicographic order."""
-    pts = list(Grid(dims).points())
-    return pts, distance_block(pts, pts, dims, metric)
+def _balls(dims: tuple[int, ...], metric: str):
+    """The box's points in lexicographic order, edge cliques and ball rows.
+
+    Each metric is the path metric of a graph on the box: the grid graph,
+    the torus and the Hamming graph.  Its edges come as cliques along the
+    axis lines: neighbours on a line, plus the wrap-around pair on the
+    torus, or the whole line in the Hamming graph.  ``balls[r][v]`` is the
+    r-ball around point v as a bitset, grown by ``_conflict_graph``.
+    """
+    metric_function(metric)  # raises the canonical DomainError
+    volume = math.prod(dims)
+    cliques = []
+    stride = volume
+    for m in dims:
+        stride //= m
+        if m == 1:
+            continue
+        for top in range(0, volume, m * stride):
+            for start in range(top, top + stride):
+                line = range(start, start + m * stride, stride)
+                if metric == "hamming":
+                    cliques.append(line)
+                else:
+                    cliques += zip(line, line[1:])
+                    if metric == "lee" and m > 2:
+                        cliques.append((line[-1], line[0]))
+    pts = list(itertools.product(*(range(m) for m in dims)))
+    return pts, cliques, [[1 << v for v in range(volume)]]
 
 
 def _conflict_graph(grid: Grid, distance: int, metric: str):
-    """Vertices are grid points; neighbors are pairs at distance < distance."""
-    pts, dmat = _distance_matrix(grid.dims, metric)
-    return pts, _bitsets((dmat < distance) & (dmat > 0))
+    """Vertices are grid points; neighbors are pairs at distance < distance.
 
-
-def _bitsets(matrix) -> list[int]:
-    """Row i of a 0/1 matrix as an int whose bit j is matrix[i, j]."""
-    import numpy as np
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    Row v is the (distance-1)-ball around v without v.  The r-ball is the
+    union of the (r-1)-balls over the closed neighbourhood, to which each
+    edge clique of ``_balls`` adds the union over its members.
+    """
+    pts, cliques, balls = _balls(grid.dims, metric)
+    while len(balls) < distance:
+        prev = balls[-1]
+        grown = list(prev)
+        for clique in cliques:
+            union = 0
+            for u in clique:
+                union |= prev[u]
+            for u in clique:
+                grown[u] |= union
+        # Past the eccentricity the balls stop growing; keep one copy.
+        balls.append(prev if grown == prev else grown)
+    return pts, [ball ^ (1 << v) for v, ball in enumerate(balls[distance - 1])]
 
 
 def _clique_cover(adj: list[int], cand: int) -> list[int]:
@@ -356,6 +407,7 @@ def max_independent_set(
     upper: int | None = None,
     time_budget: float | None = None,
     node_budget: int | None = None,
+    stats: dict | None = None,
 ) -> list[int]:
     """Russian-doll maximum independent set on bitset adjacency (Östergård 2002).
 
@@ -371,9 +423,11 @@ def max_independent_set(
 
     ``node_budget`` caps the number of search nodes, deterministically;
     ``time_budget`` caps the wall-clock seconds.  When either runs out in
-    step i, BudgetError is raised with ``lower`` = c[i+1], the size of the
-    best set found, and ``upper`` the smallest of ``upper``, the root cover
-    and c[i+1] plus the size of a clique cover of the prefix {0, ..., i}.
+    step i, BudgetError is raised with ``best``, the best set found (sorted),
+    ``lower`` = c[i+1], its size, and ``upper`` the smallest of ``upper``,
+    the root cover and c[i+1] plus the size of a clique cover of the prefix
+    {0, ..., i}.  A completed search stores its node count in
+    ``stats["nodes"]`` when ``stats`` is given.
     """
     n = len(adj)
     root = len(_clique_cover(adj, (1 << n) - 1))
@@ -388,6 +442,7 @@ def max_independent_set(
             f"independent-set search stopped by its {budget} after {nodes} nodes"
         )
         prefix = len(_clique_cover(adj, (1 << i + 1) - 1))
+        error.best = sorted(best)
         error.lower, error.upper = len(best), min(upper, len(best) + prefix)
         return error
 
@@ -421,6 +476,8 @@ def max_independent_set(
         c[i] = c[i + 1] + found(later & ~adj[i], [i], c[i + 1])
         if c[i] == upper:
             break
+    if stats is not None:
+        stats["nodes"] = nodes
     return sorted(best)
 
 
@@ -463,10 +520,16 @@ def _best_incumbent(pts, adj, n_coords: int, distance: int) -> list[int]:
     return best
 
 
-def _inflate(points, dims):
-    """Re-insert the frozen (side length 1) coordinates into reduced points."""
-    its = (iter(p) for p in points)
-    return [tuple(0 if m == 1 else next(it) for m in dims) for it in its]
+def _to_axes(words, axes: list[int], n: int) -> tuple[Point, ...]:
+    """Canonical words in the caller's n axes, sorted: coordinate k of a
+    word goes to axis ``axes[k]`` and the other axes (sides of 1) hold 0."""
+    out = []
+    for p in words:
+        word = [0] * n
+        for a, x in zip(axes, p):
+            word[a] = x
+        out.append(tuple(word))
+    return tuple(sorted(out))
 
 
 def exact_max_code(
@@ -480,15 +543,19 @@ def exact_max_code(
 
     Closed forms handle distance 1, distance 2, one effective dimension,
     and distances beyond the diameter.  Otherwise ``max_independent_set``
-    searches the conflict graph of the grid with its axes sorted longest
-    first, stopping early at the Hamming bound under the Manhattan metric
-    and at the Singleton bound under the Hamming metric, and the witness is
-    mapped back to the caller's axis order.  The grid volume is capped at
-    ``DEFAULT_EXACT_VOLUME``, and the optional node and wall-clock budgets
-    of the search abort with BudgetError, whose message gives the nodes
-    searched and the proven ``lower <= A <= upper``; ``lower`` is at least
-    the best of a few greedy scans (``_best_incumbent``).  Use greedy_code
-    past these limits.
+    searches the conflict graph of the canonical box (sides of 1 dropped,
+    the rest sorted longest first), stopping early at the Hamming bound
+    under the Manhattan metric and at the Singleton bound under the Hamming
+    metric, and the witness is mapped back to the caller's axes.  A
+    completed search is kept per (canonical dims, distance, metric) with its
+    node count and serves later calls whose ``node_budget`` is None or at
+    least that count, so no budget stop depends on earlier calls.  The grid
+    volume is capped at ``DEFAULT_EXACT_VOLUME``, and the optional node and
+    wall-clock budgets of the search abort with BudgetError, whose message
+    gives the nodes searched and the proven ``lower <= A <= upper``;
+    ``lower`` is at least the best of a few greedy scans
+    (``_best_incumbent``), and a stop whose best set meets ``upper``
+    returns it.  Use greedy_code past these limits.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
@@ -499,44 +566,58 @@ def exact_max_code(
             f"(grid has {volume}); consider greedy_code"
         )
     if distance == 1:
-        return volume, GridCode(grid, tuple(grid.points()))
+        return volume, GridCode._trusted(grid, tuple(grid.points()))
     dims = grid.dims
-    free = [m for m in dims if m > 1]
+    # Longest axis first: every suffix of the lexicographic order is then a
+    # slab sub-box plus a partial slab, which keeps the c-vector tight.
+    axes = sorted((a for a in range(grid.n) if dims[a] > 1), key=lambda a: -dims[a])
+    canon = tuple(dims[a] for a in axes)
+    if not canon or (metric == "manhattan" and distance > grid.diameter()):
+        return 1, GridCode._trusted(grid, (tuple(0 for _ in dims),))
     if metric == "manhattan":
-        if distance > grid.diameter() or not free:
-            return 1, GridCode(grid, (tuple(0 for _ in dims),))
-        if len(free) == 1:
-            m = free[0]
-            size = (m - 1) // distance + 1
-            words = _inflate([(k * distance,) for k in range(size)], dims)
-            return size, GridCode(grid, tuple(words))
+        if len(canon) == 1:
+            size = (canon[0] - 1) // distance + 1
+            words = [(k * distance,) for k in range(size)]
+            return size, GridCode._trusted(grid, _to_axes(words, axes, grid.n))
         if distance == 2:
             # The conflict graph is the grid graph, which is bipartite with a
             # near-perfect matching, so one parity class is optimal.
-            words = [p for p in grid.points() if sum(p) % 2 == 0]
-            return len(words), GridCode(grid, tuple(words))
-    # Longest axis first: every suffix of the lexicographic order is then a
-    # slab sub-box plus a partial slab, which keeps the c-vector tight.
-    axes = sorted(range(grid.n), key=lambda a: -dims[a])
-    pts, adj = _conflict_graph(Grid(tuple(dims[a] for a in axes)), distance, metric)
+            words = tuple(p for p in grid.points() if sum(p) % 2 == 0)
+            return len(words), GridCode._trusted(grid, words)
+    key = (canon, distance, metric)
+    hit = _solved.get(key)
+    if hit is not None and (node_budget is None or node_budget >= hit[1]):
+        words = hit[0]
+        return len(words), GridCode._trusted(grid, _to_axes(words, axes, grid.n))
+    box = Grid(canon)
+    pts, adj = _conflict_graph(box, distance, metric)
     # Under the Manhattan metric the Hamming bound holds as well.  Under the
     # Hamming metric the Singleton bound does: deleting the d - 1 longest
     # axes keeps the words distinct.  Neither holds for the Lee metric.
     upper = None
     if metric == "manhattan":
-        upper = hamming_bound(grid, distance)
+        upper = hamming_bound(box, distance)
     elif metric == "hamming":
-        upper = math.prod(sorted(dims)[:max(grid.n - distance + 1, 0)])
+        upper = math.prod(sorted(canon)[:max(len(canon) - distance + 1, 0)])
+    stats: dict = {}
     try:
         chosen = max_independent_set(
-            adj, upper=upper, time_budget=time_budget, node_budget=node_budget
+            adj, upper=upper, time_budget=time_budget, node_budget=node_budget,
+            stats=stats,
         )
     except BudgetError as error:
-        lower = max(error.lower, len(_best_incumbent(pts, adj, grid.n, distance)))
-        stopped = BudgetError(f"{error}: {lower} <= A <= {error.upper}")
-        stopped.lower, stopped.upper = lower, error.upper
-        raise stopped from None
-    place = sorted(range(grid.n), key=axes.__getitem__)
-    words = [tuple(pts[i][k] for k in place) for i in chosen]
-    code = GridCode(grid, tuple(words))
-    return code.size(), code
+        # With the caller's axis count the congruence weights are those of the
+        # full grid; its sides of 1 add nothing to the dot products.
+        incumbent = _best_incumbent(pts, adj, grid.n, distance)
+        chosen = max(error.best, incumbent, key=len)
+        if len(chosen) < error.upper:
+            stopped = BudgetError(f"{error}: {len(chosen)} <= A <= {error.upper}")
+            stopped.lower, stopped.upper = len(chosen), error.upper
+            raise stopped from None
+        words = [pts[i] for i in chosen]
+    else:
+        words = tuple(pts[i] for i in chosen)
+        if len(_solved) >= SOLVED_LIMIT:
+            del _solved[next(iter(_solved))]
+        _solved[key] = (words, stats["nodes"])
+    return len(words), GridCode._trusted(grid, _to_axes(words, axes, grid.n))

@@ -7,12 +7,13 @@ integers, so nothing here can silently overflow.
 Every distance between many points comes from one numpy kernel,
 ``distance_block``, which loads numpy on first use and sums the per-axis
 distances; the pairwise scan calls it in blocks of at most ``CHUNK`` rows,
-the conflict graph once over its small box, and the greedy scan in an
-explicit order once per chosen point.  The covering radius and the default
-greedy scan need no point pairs: they work on the dense box (see ``codes``),
-and the cyclic chain reads its distances from one table of refined powers
-weighted by lᵢ (see ``cyclic``).  The per-pair functions serve single pairs
-and are the tests' reference for the kernel.
+and the greedy scan in an explicit order once per chosen point.  The
+covering radius and the default greedy scan need no point pairs: they work
+on the dense box, and the exact search's conflict graph grows its balls
+from the metric's graph on the box (see ``codes``).  The cyclic chain reads
+its distances from one table of refined powers weighted by lᵢ (see
+``cyclic``).  The per-pair functions serve single pairs and are the tests'
+reference for the kernel and the conflict graph.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from conftest import random_grid_family
+
 from gridcodes import (
     DomainError,
     Grid,
@@ -32,6 +34,14 @@ class TestBoundReport:
         g = Grid((5, 2))
         assert hamming_bound(g, 5) == 2
         assert hamming_bound(g, 3) == 3
+
+    def test_hamming_bound_is_the_report_upper(self):
+        for dims in random_grid_family():
+            g = Grid(dims)
+            for d in range(1, g.diameter() + 2):
+                assert hamming_bound(g, d) == bound_report(g, d).hamming_upper, (dims, d)
+        with pytest.raises(DomainError):
+            hamming_bound(Grid((5, 2)), 0)
 
     def test_gv_regression(self):
         # The strong lower bound certifies at least 2 codewords at d = 5.

@@ -276,6 +276,7 @@ run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "at",
      "--center", "2,0"], False)
 run(["bounds", "--grid", "10,4,4", "--distance", "5"], False)
 run(["bounds", "--grid", "5,2", "--sweep", "5"], False)
+run(["search", "--grid", "4,1,3,2", "--distance", "3", "--mode", "exact"], False)
 run(["cyclic", "--orders", "8,8,8,8", "--generator", "2,2,4,4"], True)
 """
 

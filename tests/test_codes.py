@@ -21,9 +21,12 @@ from gridcodes import (
     covering_radius,
     exact_max_code,
     greedy_code,
+    hamming_distance,
+    lee_distance,
     manhattan_distance,
     pairwise_distance_extremes,
 )
+from gridcodes import codes
 from gridcodes.codes import (
     _best_incumbent,
     _clique_cover,
@@ -202,6 +205,7 @@ class TestGreedy:
             for d in {1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}:
                 code = greedy_code(g, d)
                 assert code == greedy_code(g, d, order=pts), (g.dims, d)
+                assert code == GridCode(g, code.codewords)
                 assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
                 assert covering_radius(code) <= d - 1
 
@@ -322,6 +326,7 @@ class TestExactSearch:
                 for d in range(2, 5):
                     size, code = exact_max_code(g, d, metric=metric, node_budget=10**5)
                     assert code.grid.dims == dims and code.size() == size
+                    assert code == GridCode(g, code.codewords)
                     if size > 1:
                         assert code_min_distance(g, code.codewords, metric) >= d
                     if g.volume() <= 8:
@@ -332,6 +337,54 @@ class TestExactSearch:
                     elif metric == "manhattan":
                         report = bound_report(g, d)
                         assert report.gv_lower_strong <= size <= report.hamming_upper
+
+    def test_budget_stop_that_meets_its_bound_is_exact(self, monkeypatch):
+        # The Singleton bound 2 * 7 = 14 holds and the greedy incumbent meets
+        # it, so a stop after 100 nodes (of the 358 the search takes) proves
+        # 14 <= A <= 14.
+        monkeypatch.setattr(codes, "_solved", {})
+        g = Grid((2, 9, 7))
+        size, code = exact_max_code(g, 2, metric="hamming", node_budget=100)
+        assert size == code.size() == 14
+        assert code == GridCode(g, code.codewords)
+        assert code_min_distance(g, code.codewords, "hamming") >= 2
+        # Only completed searches are kept.
+        assert not codes._solved
+
+    def test_canonical_memo_serves_only_sufficient_budgets(self, monkeypatch):
+        # (1, 3, 6, 1, 4) and (6, 4, 3) are one canonical box.  Its search
+        # takes N nodes; a twin must stop at N - 1 nodes exactly as with an
+        # empty memo, and return the same witness at N nodes.
+        monkeypatch.setattr(codes, "_solved", {})
+        canon, twin, d = Grid((6, 4, 3)), Grid((1, 3, 6, 1, 4)), 3
+        exact_max_code(canon, d)
+        (key, (words, nodes)), = codes._solved.items()
+        assert key == ((6, 4, 3), 3, "manhattan") and len(words) == 12
+
+        def stop(budget):
+            with pytest.raises(BudgetError) as error:
+                exact_max_code(twin, d, node_budget=budget)
+            return str(error.value), error.value.lower, error.value.upper
+
+        codes._solved.clear()
+        fresh_stop = stop(nodes - 1)
+        fresh = exact_max_code(twin, d, node_budget=nodes)
+        assert f"after {nodes - 1} nodes: 12 <= A <= 13" in fresh_stop[0]
+        assert fresh[0] == 12 and fresh[1].grid == twin
+
+        codes._solved.clear()
+        exact_max_code(canon, d)
+        searches = []
+        search = codes.max_independent_set
+        monkeypatch.setattr(
+            codes, "max_independent_set",
+            lambda *a, **k: searches.append(a) or search(*a, **k),
+        )
+        assert stop(nodes - 1) == fresh_stop
+        assert len(searches) == 1
+        assert exact_max_code(twin, d, node_budget=nodes) == fresh
+        assert exact_max_code(twin, d) == fresh
+        assert len(searches) == 1
 
     def test_criterion_5_family_at_fixed_node_budget(self):
         # The criterion-5 family (volume <= 512) at a fixed node budget, so
@@ -371,6 +424,35 @@ def random_graph(rng, n, density):
             adj[i] |= 1 << j
             adj[j] |= 1 << i
     return adj
+
+
+class TestConflictGraph:
+    def test_rows_match_pair_distances(self):
+        # Sides of 1 and 2 included: on a side of 2 the Lee wrap meets itself.
+        oracle = {"manhattan": manhattan_distance, "lee": lee_distance,
+                  "hamming": hamming_distance}
+        rng = random.Random(14)
+        boxes = [(1,), (2,), (7,), (2, 2, 2), (1, 5, 2), (3, 1), (4, 4), (5, 2, 3, 2)]
+        while len(boxes) < 30:
+            dims = tuple(rng.choice((1, 2, 2, 3, 4, 5, 6)) for _ in range(rng.randint(1, 4)))
+            if math.prod(dims) <= 60:
+                boxes.append(dims)
+        for dims in boxes:
+            g = Grid(dims)
+            pts = list(g.points())
+            for metric, dist in oracle.items():
+                table = [[dist(g, p, q) for q in pts] for p in pts]
+                for d in {4, 1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}:
+                    got_pts, adj = _conflict_graph(g, d, metric)
+                    assert got_pts == pts
+                    want = [
+                        sum(1 << u for u, x in enumerate(row) if 0 < x < d) for row in table
+                    ]
+                    assert adj == want, (dims, metric, d)
+
+    def test_unknown_metric(self):
+        with pytest.raises(DomainError, match="unknown metric"):
+            exact_max_code(Grid((3, 3)), 3, metric="euclid")
 
 
 class TestIndependentSetSolver:
