@@ -49,15 +49,13 @@ def bound_report(grid: Grid, distance: int) -> BoundReport:
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     volume = grid.volume()
-    t = (distance - 1) // 2
-    upper = volume // eta_value(grid.dims, t)
     strong = _ceil_div(volume, gamma_value(grid.dims, distance - 1))
     weak = _ceil_div(volume, zn_ball_size(grid.n, distance - 1))
     return BoundReport(
         grid=grid,
         distance=distance,
-        packing_radius=t,
-        hamming_upper=upper,
+        packing_radius=(distance - 1) // 2,
+        hamming_upper=hamming_bound(grid, distance),
         gv_lower_strong=strong,
         gv_lower_weak=weak,
         degenerate=distance > grid.diameter() + 1,
@@ -67,7 +65,8 @@ def bound_report(grid: Grid, distance: int) -> BoundReport:
 def hamming_bound(grid: Grid, distance: int) -> int:
     """Upper bound on the size of a code with minimum distance >= distance.
 
-    The ``hamming_upper`` of ``bound_report``, without the lower bounds.
+    Lee and Hamming distances never exceed the Manhattan one, so the bound
+    holds under all three metrics.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")

@@ -2,7 +2,8 @@
 
 Every subcommand prints one machine-readable payload on stdout (JSON by
 default) and keeps diagnostics on stderr.  Exit codes: 0 success, 2 domain
-error (bad flags or inputs), 3 resource error (enumeration budget exceeded).
+error (bad flags or inputs, or a file that cannot be read or written), 3
+resource error (enumeration budget exceeded).
 The GRIDCODES_BUDGET environment variable overrides the enumeration budget
 (10**7) and the exact search's node budget (``codes.DEFAULT_NODE_BUDGET``).
 """
@@ -90,6 +91,8 @@ def cmd_ball_size(args) -> int:
 def cmd_bounds(args) -> int:
     grid = Grid.parse(args.grid)
     if args.sweep is not None:
+        if args.sweep < 1:
+            raise DomainError(f"--sweep {args.sweep} must be >= 1")
         buf = io.StringIO()
         writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(["d", "gv_weak", "gv_strong", "hamming_upper"])
@@ -173,9 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="packing upper and covering lower bounds")
     p.add_argument("--grid", required=True, help="comma-separated side lengths")
-    p.add_argument("--distance", type=int, help="design distance d >= 1")
-    p.add_argument("--sweep", type=int, metavar="DMAX",
-                   help="emit a CSV table for d = 1..DMAX instead")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--distance", type=int, help="design distance d >= 1")
+    which.add_argument("--sweep", type=int, metavar="DMAX",
+                       help="emit a CSV table for d = 1..DMAX instead")
     _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
@@ -207,11 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "bounds" and args.sweep is None and args.distance is None:
-        parser.error("bounds requires --distance or --sweep")
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except BudgetError as exc:

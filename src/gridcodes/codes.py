@@ -6,10 +6,10 @@ with candidate sets held as Python-int bitsets over the points in
 lexicographic order, longest axis first.  It learns the largest code inside
 every suffix of that order, from the last point back to the first, and cuts
 a search node when the largest code inside its lowest candidate's suffix
-cannot lift it to the next size.  A node budget stops it deterministically
-and a time budget by the clock.  The greedy search adds points in scan
-order and is maximal by construction, which is exactly the (d-1)-covering
-property.
+cannot lift it to the next size.  It stops at the Hamming bound, which caps
+codes under all three metrics, at a node budget deterministically, or at a
+time budget by the clock.  The greedy search adds points in scan order and
+is maximal by construction, which is exactly the (d-1)-covering property.
 
 The covering radius and the default greedy scan work on the dense box and
 compute no pairwise distances: the covering radius is the largest value of
@@ -104,10 +104,10 @@ class GridCode:
             raise DomainError(
                 'code JSON needs "dims" as a list and "codewords" as a list of lists'
             )
-        try:
-            return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
-        except (TypeError, ValueError):
-            raise DomainError("code JSON sides and coordinates must be integers") from None
+        # JSON booleans are ints to Python; floats would be truncated.
+        if not all(type(x) is int for x in itertools.chain(dims, *words)):
+            raise DomainError("code JSON sides and coordinates must be integers")
+        return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -337,7 +337,6 @@ def _balls(dims: tuple[int, ...], metric: str):
     torus, or the whole line in the Hamming graph.  ``balls[r][v]`` is the
     r-ball around point v as a bitset, grown by ``_conflict_graph``.
     """
-    metric_function(metric)  # raises the canonical DomainError
     volume = math.prod(dims)
     cliques = []
     stride = volume
@@ -541,12 +540,13 @@ def exact_max_code(
 ) -> tuple[int, GridCode]:
     """Exact maximum code size with minimum distance >= distance, plus a witness.
 
-    Closed forms handle distance 1, distance 2, one effective dimension,
-    and distances beyond the diameter.  Otherwise ``max_independent_set``
+    An unknown ``metric`` is a DomainError before any closed form.  Closed
+    forms handle distance 1, distance 2, one effective dimension, and
+    distances beyond the diameter.  Otherwise ``max_independent_set``
     searches the conflict graph of the canonical box (sides of 1 dropped,
-    the rest sorted longest first), stopping early at the Hamming bound
-    under the Manhattan metric and at the Singleton bound under the Hamming
-    metric, and the witness is mapped back to the caller's axes.  A
+    the rest sorted longest first) and stops at ``hamming_bound``, which
+    holds under every metric, lowered to the Singleton bound under the
+    Hamming metric; the witness is mapped back to the caller's axes.  A
     completed search is kept per (canonical dims, distance, metric) with its
     node count and serves later calls whose ``node_budget`` is None or at
     least that count, so no budget stop depends on earlier calls.  The grid
@@ -559,6 +559,7 @@ def exact_max_code(
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
+    metric_function(metric)  # raises the canonical DomainError
     volume = grid.volume()
     if volume > DEFAULT_EXACT_VOLUME:
         raise BudgetError(
@@ -591,14 +592,10 @@ def exact_max_code(
         return len(words), GridCode._trusted(grid, _to_axes(words, axes, grid.n))
     box = Grid(canon)
     pts, adj = _conflict_graph(box, distance, metric)
-    # Under the Manhattan metric the Hamming bound holds as well.  Under the
-    # Hamming metric the Singleton bound does: deleting the d - 1 longest
-    # axes keeps the words distinct.  Neither holds for the Lee metric.
-    upper = None
-    if metric == "manhattan":
-        upper = hamming_bound(box, distance)
-    elif metric == "hamming":
-        upper = math.prod(sorted(canon)[:max(len(canon) - distance + 1, 0)])
+    upper = hamming_bound(box, distance)
+    if metric == "hamming":
+        # Singleton: deleting the d - 1 longest axes keeps the words distinct.
+        upper = min(upper, math.prod(canon[distance - 1:]))
     stats: dict = {}
     try:
         chosen = max_independent_set(

@@ -70,8 +70,18 @@ class TestBounds:
         assert lines[3] == "3,1,2,3"
 
     def test_needs_distance_or_sweep(self):
-        with pytest.raises(SystemExit):
-            main(["bounds", "--grid", "5,2"])
+        # Exactly one of the two.
+        for extra in ([], ["--distance", "2", "--sweep", "3"]):
+            with pytest.raises(SystemExit) as stop:
+                main(["bounds", "--grid", "5,2", *extra])
+            assert stop.value.code == 2
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_sweep_below_one(self, capsys, top):
+        code, out, err = run_cli(capsys, "bounds", "--grid", "5,2", "--sweep", top)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --sweep {top} must be >= 1\n"
 
 
 class TestSearchAnalyzeRoundTrip:
@@ -109,6 +119,23 @@ class TestSearchAnalyzeRoundTrip:
         assert code == 2
         assert "not found" in err
 
+    def test_unwritable_output(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "search", "--grid", "3,3", "--distance", "2", "--output", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert err.count("\n") == 1
+
+    def test_code_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "analyze", "--code", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("covering", ["1,x", "-1", "2,-1"])
     def test_bad_covering_radii(self, capsys, tmp_path, covering):
         path = tmp_path / "code.json"
@@ -124,6 +151,7 @@ class TestSearchAnalyzeRoundTrip:
         '{"dims": [5, 2], "codewords": 5}',
         '{"dims": 5, "codewords": [[0]]}',
         '{"dims": [5], "codewords": [[null]]}',
+        '{"dims": [5.9, 2], "codewords": [[1.5, 0], [4, 1.2]]}',
     ])
     def test_malformed_code_file(self, capsys, tmp_path, text):
         path = tmp_path / "code.json"

@@ -21,6 +21,7 @@ from gridcodes import (
     covering_radius,
     exact_max_code,
     greedy_code,
+    hamming_bound,
     hamming_distance,
     lee_distance,
     manhattan_distance,
@@ -45,6 +46,16 @@ def per_point_covering_radius(code):
         min(manhattan_distance(code.grid, p, c) for c in code.codewords)
         for p in code.grid.points()
     )
+
+
+def lexicographic_greedy(grid, distance):
+    """Reference greedy scan, pair by pair: each point in lexicographic order
+    joins the code when it is at distance >= distance from every word so far."""
+    code = []
+    for p in grid.points():
+        if all(manhattan_distance(grid, p, w) >= distance for w in reversed(code)):
+            code.append(p)
+    return tuple(code)
 
 
 def brute_force_max_code(grid, distance, metric="manhattan"):
@@ -88,6 +99,8 @@ class TestGridCode:
         for dims, words in (
             ([5, 2], 5), ([5, 2], [5]), ([5, 2], "ab"), ([5, 2], None),
             (5, [[0]]), (["a"], [[0]]), ([5], [["a"]]), ([5], [[None]]),
+            ([5.9, 2], [[1.5, 0], [4, 1.2]]), ([5.0, 2], [[0, 0]]),
+            ([5, 2], [[1.0, 0]]), ([True, 2], [[0, 0]]), ([5, 2], [[True, 0]]),
         ):
             with pytest.raises(DomainError):
                 GridCode.from_json_dict({"dims": dims, "codewords": words})
@@ -196,7 +209,9 @@ class TestGreedy:
 
     def test_stencil_scan_matches_row_scan(self):
         # The default scan clears a ball stencil; an explicit lexicographic
-        # order takes the distance_block rows, the reference.
+        # order takes the distance_block rows.  Both must match the pairwise
+        # reference, which is quadratic in the volume, so it checks the
+        # boxes of at most 200 points (452 of the 557 cases).
         rng = random.Random(12)
         for trial in range(150):
             n = trial % 5 + 1
@@ -205,6 +220,8 @@ class TestGreedy:
             for d in {1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}:
                 code = greedy_code(g, d)
                 assert code == greedy_code(g, d, order=pts), (g.dims, d)
+                if g.volume() <= 200:
+                    assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
                 assert code == GridCode(g, code.codewords)
                 assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
                 assert covering_radius(code) <= d - 1
@@ -217,10 +234,16 @@ class TestGreedy:
         assert _later_half_ball(g.dims, 3) is None
         assert greedy_code(g, 5).codewords == ((0, 0),)
         assert greedy_code(g, 4).codewords == ((0, 0), (2, 2))
+        for d in range(1, 6):
+            want = lexicographic_greedy(g, d)
+            assert greedy_code(g, d).codewords == want
+            assert greedy_code(g, d, order=g.points()).codewords == want
         # On a long line the stencil's face masks would outgrow the row scan.
         line = Grid((2000,))
         assert _later_half_ball(line.dims, 149) is None
-        assert greedy_code(line, 150) == greedy_code(line, 150, order=line.points())
+        code = greedy_code(line, 150)
+        assert code == greedy_code(line, 150, order=line.points())
+        assert code.codewords == lexicographic_greedy(line, 150)
 
     def test_budget(self):
         with pytest.raises(BudgetError, match="budget is 100"):
@@ -304,6 +327,14 @@ class TestExactSearch:
         # whose axes are sorted longest first.
         pts, adj = _conflict_graph(Grid((8, 4, 4, 4)), 3, "manhattan")
         assert lower >= len(_best_incumbent(pts, adj, 4, 3))
+
+    def test_lee_stop_is_capped_by_the_hamming_bound(self):
+        # Lee distances never exceed Manhattan ones, so the Hamming bound
+        # caps Lee codes too; the root clique cover alone gives 116 here.
+        g = Grid((8, 8, 6))
+        with pytest.raises(BudgetError) as stop:
+            exact_max_code(g, 3, metric="lee", node_budget=2000)
+        assert stop.value.lower <= stop.value.upper <= hamming_bound(g, 3) == 96
 
     def test_slowest_family_instances(self):
         # Sizes confirmed by a HiGHS MILP.
@@ -451,8 +482,12 @@ class TestConflictGraph:
                     assert adj == want, (dims, metric, d)
 
     def test_unknown_metric(self):
-        with pytest.raises(DomainError, match="unknown metric"):
-            exact_max_code(Grid((3, 3)), 3, metric="euclid")
+        # Checked before any closed form: distance 1, all sides 1, distance
+        # 2, one dimension and distances beyond the diameter.
+        for dims, d in [((3, 3), 3), ((3, 3), 1), ((1, 1), 3), ((3, 3), 2),
+                        ((9,), 4), ((3, 3), 5)]:
+            with pytest.raises(DomainError, match="unknown metric"):
+                exact_max_code(Grid(dims), d, metric="euclid")
 
 
 class TestIndependentSetSolver:
