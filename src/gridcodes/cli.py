@@ -114,6 +114,8 @@ def cmd_analyze(args) -> int:
         code = codes.GridCode.load(args.code)
     except FileNotFoundError:
         raise DomainError(f"code file not found: {args.code}")
+    except UnicodeDecodeError:
+        raise DomainError(f"code file {args.code} is not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise DomainError(
             f"malformed JSON in {args.code} at line {exc.lineno}, column {exc.colno}"

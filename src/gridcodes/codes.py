@@ -11,14 +11,14 @@ codes under all three metrics, at a node budget deterministically, or at a
 time budget by the clock.  The greedy search adds points in scan order and
 is maximal by construction, which is exactly the (d-1)-covering property.
 
-The covering radius and the default greedy scan work on the dense box and
-compute no pairwise distances: the covering radius is the largest value of
-the code's exact L1 distance transform, and the greedy scan clears a
-precomputed stencil of the later half of each chosen point's ball from a
-mask of free points.  The greedy scan in an explicit order takes its
-distances from the one kernel, ``grid.distance_block``.  The conflict graph
-grows its balls one radius at a time over the metric's graph on the box,
-without numpy.
+The covering radius and the greedy scan work on the dense box and compute
+no pairwise distances: the covering radius is the largest value of the
+code's exact L1 distance transform, and the greedy scan clears a
+precomputed stencil of the later half of each chosen point's ball, or else
+its dense distance row, from a mask of free points.  Only ``analyze`` scans
+point pairs, through the one kernel, ``grid.pairwise_distance_extremes``.
+The conflict graph grows its balls one radius at a time over the metric's
+graph on the box, without numpy.
 """
 
 from __future__ import annotations
@@ -38,10 +38,8 @@ from .grid import (
     DEFAULT_BUDGET,
     Grid,
     Point,
-    distance_block,
     metric_function,
     pairwise_distance_extremes,
-    point_array,
 )
 
 #: Largest grid volume the exact conflict-graph search accepts.
@@ -104,10 +102,10 @@ class GridCode:
             raise DomainError(
                 'code JSON needs "dims" as a list and "codewords" as a list of lists'
             )
-        # JSON booleans are ints to Python; floats would be truncated.
-        if not all(type(x) is int for x in itertools.chain(dims, *words)):
-            raise DomainError("code JSON sides and coordinates must be integers")
-        return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
+        try:
+            return cls(Grid(tuple(dims)), tuple(tuple(w) for w in words))
+        except DomainError as exc:
+            raise DomainError(f"code JSON: {exc}") from None
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -228,8 +226,8 @@ def _later_half_ball(dims: tuple[int, ...], r: int):
     ``masks[i]`` maps each coordinate c within the stencil's reach of a face
     of axis i to the offsets that stay inside that axis from c; the other
     coordinates keep every offset.  Returns None when the stencil would hold
-    more offsets than the box has points, or its masks more cells than the
-    row scan's n·V point array has bytes: the row scan is cheaper then.
+    more offsets than the box has points, or its masks more cells than eight
+    dense distance rows take additions (n·V each): the row scan is cheaper then.
     """
     import numpy as np
     volume = math.prod(dims)
@@ -265,66 +263,46 @@ def _later_half_ball(dims: tuple[int, ...], r: int):
     return flat[later], masks
 
 
-def greedy_code(
-    grid: Grid, distance: int, order=None, budget: int = DEFAULT_BUDGET
-) -> GridCode:
-    """Maximal code with minimum distance >= distance, built by scan order.
+def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> GridCode:
+    """Maximal code with minimum distance >= distance, built in lexicographic order.
 
-    ``order`` defaults to the lexicographic point order; pass an explicit
-    sequence of points to experiment with other scans.  The scan walks a
-    mask of free scan positions.  By default a position is a flat index of
-    the box, and each chosen point clears the later half of its
-    (distance-1)-ball, a stencil of flat offsets precomputed once
-    (``_later_half_ball``); BudgetError is raised when the box holds more
-    than ``budget`` points.  An explicit order, or a stencil that would
-    outgrow the box, clears by the chosen point's ``distance_block`` row.
+    The scan walks a mask of the box's free points and raises BudgetError
+    when the box holds more than ``budget`` points.  Each chosen point clears
+    the later half of its (distance-1)-ball: a stencil of flat offsets built
+    once (``_later_half_ball``), or its dense distance row when there is none.
     """
     import numpy as np
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
-    stencil = None
-    if order is None:
-        if grid.volume() > budget:
-            raise BudgetError(
-                f"greedy scan needs a mask of {grid.volume()} points, "
-                f"budget is {budget}"
-            )
-        stencil = _later_half_ball(grid.dims, distance - 1)
-    if stencil is None:
-        pts = list(grid.points()) if order is None else [grid.require(p) for p in order]
-        arr = point_array(pts, grid.dims)
-        count = len(pts)
-    else:
-        flat, masks = stencil
-        strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
-        count = grid.volume()
-    # free[p]: scan position p is at distance >= distance from every chosen
-    # point.  A repeated point is at distance 0 from itself, so it is never
-    # chosen twice.
+    count = grid.volume()
+    if count > budget:
+        raise BudgetError(
+            f"greedy scan needs a mask of {count} points, budget is {budget}"
+        )
+    flat, masks = _later_half_ball(grid.dims, distance - 1) or (None, [{}] * grid.n)
+    strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
+    # free[p]: point p is at distance >= distance from every chosen point.
     free = np.ones(count, dtype=bool)
     chosen: list[Point] = []
     p = 0
     while p < count and free[p]:
-        if stencil is None:
-            chosen.append(pts[p])
-            far = distance_block(arr[p : p + 1], arr[p:], grid.dims, "manhattan")[0]
-            free[p:] &= far >= distance
+        word, rest, keep = [], p, None
+        for stride, axis_masks in zip(strides, masks):
+            c, rest = divmod(rest, stride)
+            word.append(c)
+            mask = axis_masks.get(c)
+            if mask is not None:
+                keep = mask if keep is None else keep & mask
+        chosen.append(tuple(word))
+        if flat is None:
+            gaps = (np.abs(np.arange(m) - c) for m, c in zip(grid.dims, word))
+            free[p:] &= sum(np.ix_(*gaps)).reshape(-1)[p:] >= distance
         else:
-            word, rest, keep = [], p, None
-            for stride, axis_masks in zip(strides, masks):
-                c, rest = divmod(rest, stride)
-                word.append(c)
-                mask = axis_masks.get(c)
-                if mask is not None:
-                    keep = mask if keep is None else keep & mask
-            chosen.append(tuple(word))
             free[p + (flat if keep is None else flat[keep])] = False
         p += 1
         if p < count:
             p += int(free[p:].argmax())
-    # Both scans of the box choose in lexicographic order; an explicit
-    # order's points were validated and come in scan order.
-    return GridCode._trusted(grid, tuple(chosen if order is None else sorted(chosen)))
+    return GridCode._trusted(grid, tuple(chosen))
 
 
 @lru_cache(maxsize=8)

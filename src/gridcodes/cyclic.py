@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError, GridCodesError
+from .grid import integer
 
 #: Largest cyclic-code order that ``bound_chain``'s power-difference scans
 #: and ``min_hamming_distance``'s ``verify`` power scan accept by default.
@@ -33,8 +34,8 @@ class CyclicCodeSpec:
     generator_exponents: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(m) for m in self.orders)
-        exps = tuple(int(e) for e in self.generator_exponents)
+        orders = tuple(integer(m, "component order") for m in self.orders)
+        exps = tuple(integer(e, "exponent") for e in self.generator_exponents)
         if not orders:
             raise DomainError("at least one cyclic component is required")
         if any(m < 2 for m in orders):
@@ -226,8 +227,8 @@ def _power_extremes(derived: CyclicDerived) -> tuple[int, ...]:
     coordinates, both weighted like the distance.  Differences j <= order/2
     are scanned, one row of all k each, by ascending L for each minimum and
     by descending U for the ambient maximum, until the bound cannot beat the
-    extreme so far.  As in ``grid.point_array``, entries are Python ints
-    where int64 could overflow.
+    extreme so far.  As in ``grid.pairwise_distance_extremes``, entries are
+    Python ints where int64 could overflow.
     """
     import numpy as np
     support, order = derived.support, derived.order

@@ -4,13 +4,12 @@ Points are plain tuples of ints, which gives structural equality and a
 total lexicographic order for free.  All counts use Python's exact
 integers, so nothing here can silently overflow.
 
-Every distance between many points comes from one numpy kernel,
-``distance_block``, which loads numpy on first use and sums the per-axis
-distances; the pairwise scan calls it in blocks of at most ``CHUNK`` rows,
-and the greedy scan in an explicit order once per chosen point.  The
-covering radius and the default greedy scan need no point pairs: they work
-on the dense box, and the exact search's conflict graph grows its balls
-from the metric's graph on the box (see ``codes``).  The cyclic chain reads
+Every distance between many points comes from one numpy kernel, the
+pairwise scan ``pairwise_distance_extremes``, which loads numpy on first use
+and sums the per-axis distances in blocks of at most ``CHUNK`` rows.  The
+covering radius and the greedy scan need no point pairs: they work on the
+dense box, and the exact search's conflict graph grows its balls from the
+metric's graph on the box (see ``codes``).  The cyclic chain reads
 its distances from one table of refined powers weighted by lᵢ (see
 ``cyclic``).  The per-pair functions serve single pairs and are the tests'
 reference for the kernel and the conflict graph.
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
@@ -31,8 +31,15 @@ DEFAULT_BUDGET = 10_000_000
 
 METRICS = ("manhattan", "lee", "hamming")
 
-#: Rows per block of the multi-point scans; a block holds CHUNK x columns int64s.
+#: Rows per block of the pairwise scan; a block holds CHUNK x columns int64s.
 CHUNK = 512
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int: anything ``operator.index`` takes except bool."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise DomainError(f"{what} {value!r} is not an integer")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -46,7 +53,7 @@ class Grid:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(m) for m in self.dims)
+        dims = tuple(integer(m, "side length") for m in self.dims)
         if len(dims) == 0:
             raise DomainError("grid needs at least one dimension")
         for i, m in enumerate(dims):
@@ -72,7 +79,7 @@ class Grid:
 
     def require(self, point: Point) -> Point:
         """Validate that ``point`` lies in the grid, naming the bad coordinate."""
-        point = tuple(int(x) for x in point)
+        point = tuple(integer(x, "coordinate") for x in point)
         if len(point) != self.n:
             raise DomainError(
                 f"point has {len(point)} coordinates, grid has {self.n}"
@@ -199,48 +206,34 @@ def enumerate_zn_ball(n: int, center: Point, radius: int) -> list[Point]:
     return out
 
 
-def point_array(points, dims):
-    """Points as int64s, or as Python ints when the sides sum past int64."""
-    import numpy as np
-    dtype = np.int64 if sum(dims) <= np.iinfo(np.int64).max else object
-    return np.asarray(points, dtype=dtype)
+def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
+    """(min, max) pairwise distance over a set of at least two points.
 
-
-def distance_block(rows, cols, dims, metric: str):
-    """The len(rows) x len(cols) matrix of distances between two point lists.
-
-    Points (lists or ``point_array``s) are not validated; callers pass points
-    of the grid ``dims``.  The matrix has ``point_array``'s dtype.
-    """
+    The one pairwise kernel: numpy sums the per-axis distances of blocks of
+    ``CHUNK`` points against every later point, as int64s, or as Python ints
+    when the sides sum past int64."""
     import numpy as np
     metric_function(metric)  # raises the canonical DomainError
-    rows, cols = point_array(rows, dims), point_array(cols, dims)
-    total = np.zeros((len(rows), len(cols)), dtype=rows.dtype)
-    diff = np.empty_like(total)
-    for axis, m in enumerate(dims):
-        np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)
-        np.abs(diff, out=diff)
-        if metric == "lee":
-            np.minimum(diff, m - diff, out=diff)
-        elif metric == "hamming":
-            np.minimum(diff, 1, out=diff)
-        total += diff
-    return total
-
-
-def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
-    """(min, max) pairwise distance over a set of at least two points."""
-    import numpy as np
     pts = sorted({grid.require(p) for p in points})
     if len(pts) < 2:
         raise DomainError("minimum distance undefined for fewer than two points")
+    dtype = np.int64 if sum(grid.dims) <= np.iinfo(np.int64).max else object
+    arr = np.asarray(pts, dtype=dtype)
     lows, highs = [], []
     # Each block pairs its rows with every later point; starting blocks only
     # while two points remain keeps a real pair in every block.
     for start in range(0, len(pts) - 1, CHUNK):
-        block = distance_block(
-            pts[start : start + CHUNK], pts[start:], grid.dims, metric
-        )
+        rows, cols = arr[start : start + CHUNK], arr[start:]
+        block = np.zeros((len(rows), len(cols)), dtype=dtype)
+        diff = np.empty_like(block)
+        for axis, m in enumerate(grid.dims):
+            np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)
+            np.abs(diff, out=diff)
+            if metric == "lee":
+                np.minimum(diff, m - diff, out=diff)
+            elif metric == "hamming":
+                np.minimum(diff, 1, out=diff)
+            block += diff
         highs.append(int(block.max()))
         # The diagonal holds the only zeros (the points are distinct); lifting
         # it to the block maximum leaves the minimum to the real pairs.

@@ -136,6 +136,15 @@ class TestSearchAnalyzeRoundTrip:
         assert err.startswith("error:") and str(tmp_path) in err
         assert err.count("\n") == 1
 
+    def test_code_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bin.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "analyze", "--code", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(path) in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("covering", ["1,x", "-1", "2,-1"])
     def test_bad_covering_radii(self, capsys, tmp_path, covering):
         path = tmp_path / "code.json"

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -105,6 +106,12 @@ class TestGridCode:
             with pytest.raises(DomainError):
                 GridCode.from_json_dict({"dims": dims, "codewords": words})
 
+    def test_constructor_rejects_non_integers(self):
+        with pytest.raises(DomainError, match="5.9"):
+            GridCode(Grid((5.9, 2)), ((1.5, 0),))
+        with pytest.raises(DomainError, match="1.5"):
+            GridCode(Grid((5, 2)), ((1.5, 0),))
+
 
 class TestAnalysis:
     def test_perfect_and_attaining(self):
@@ -195,38 +202,27 @@ class TestGreedy:
         assert code_min_distance(g, code.codewords) >= 4
         assert covering_radius(code) <= 3
 
-    def test_custom_order(self):
-        g = Grid((4,))
-        code = greedy_code(g, 2, order=[(3,), (2,), (1,), (0,)])
-        assert code.codewords == ((1,), (3,))
-        # A repeated point is at distance 0 < d from its first copy.
-        code = greedy_code(g, 1, order=[(2,), (0,), (2,)])
-        assert code.codewords == ((0,), (2,))
-        # Coordinates past int64 stay exact.
-        huge = Grid((2**64,))
-        code = greedy_code(huge, 2**63, order=[(2**63,), (1,), (0,)])
-        assert code.codewords == ((0,), (2**63,))
-
-    def test_stencil_scan_matches_row_scan(self):
-        # The default scan clears a ball stencil; an explicit lexicographic
-        # order takes the distance_block rows.  Both must match the pairwise
-        # reference, which is quadratic in the volume, so it checks the
-        # boxes of at most 200 points (452 of the 557 cases).
+    def test_stencil_scan_matches_row_scan(self, monkeypatch):
+        # The stencil scan must match the dense-row scan it falls back to on
+        # every case, and the pair-by-pair reference, which is quadratic in
+        # the volume, on the boxes of at most 200 points (452 of the 557).
         rng = random.Random(12)
+        cases = []
         for trial in range(150):
             n = trial % 5 + 1
             g = Grid(tuple(rng.randint(1, 9 if n < 4 else 5) for _ in range(n)))
-            pts = list(g.points())
             for d in {1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}:
-                code = greedy_code(g, d)
-                assert code == greedy_code(g, d, order=pts), (g.dims, d)
-                if g.volume() <= 200:
-                    assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
-                assert code == GridCode(g, code.codewords)
-                assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
-                assert covering_radius(code) <= d - 1
+                cases.append((g, d, greedy_code(g, d)))
+        monkeypatch.setattr(codes, "_later_half_ball", lambda *a: None)
+        for g, d, code in cases:
+            assert code == greedy_code(g, d), (g.dims, d)
+            if g.volume() <= 200:
+                assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
+            assert code == GridCode(g, code.codewords)
+            assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
+            assert covering_radius(code) <= d - 1
 
-    def test_row_scan_past_stencil(self):
+    def test_row_scan_past_stencil(self, monkeypatch):
         # From radius 3 on, the half ball clipped to |o_i| <= 2 holds more
         # than the box's 9 offsets.
         g = Grid((3, 3))
@@ -234,22 +230,34 @@ class TestGreedy:
         assert _later_half_ball(g.dims, 3) is None
         assert greedy_code(g, 5).codewords == ((0, 0),)
         assert greedy_code(g, 4).codewords == ((0, 0), (2, 2))
-        for d in range(1, 6):
-            want = lexicographic_greedy(g, d)
-            assert greedy_code(g, d).codewords == want
-            assert greedy_code(g, d, order=g.points()).codewords == want
-        # On a long line the stencil's face masks would outgrow the row scan.
-        line = Grid((2000,))
+        # On a long line the stencil's face masks would outgrow the row scan;
+        # on the square the stencil would hold more offsets than the box.
+        line, square = Grid((2000,)), Grid((300, 300))
         assert _later_half_ball(line.dims, 149) is None
-        code = greedy_code(line, 150)
-        assert code == greedy_code(line, 150, order=line.points())
-        assert code.codewords == lexicographic_greedy(line, 150)
+        assert _later_half_ball(square.dims, 399) is None
+        cases = [(g, d) for d in range(1, 6)] + [(line, 150), (square, 400)]
+        scanned = [greedy_code(grid, d) for grid, d in cases]
+        monkeypatch.setattr(codes, "_later_half_ball", lambda *a: None)
+        for (grid, d), code in zip(cases, scanned):
+            assert code == greedy_code(grid, d), (grid.dims, d)
+            assert code.codewords == lexicographic_greedy(grid, d), (grid.dims, d)
+
+    def test_row_scan_memory(self):
+        # The row scan holds a few dense rows of the box, not a list of its
+        # points.  The warm-up keeps numpy's lazy imports out of the trace.
+        greedy_code(Grid((3, 3)), 4)
+        g = Grid((300, 300))
+        tracemalloc.start()
+        try:
+            greedy_code(g, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * g.volume()
 
     def test_budget(self):
         with pytest.raises(BudgetError, match="budget is 100"):
             greedy_code(Grid((40, 40)), 3, budget=100)
-        # An explicit order is bounded by its own length.
-        assert greedy_code(Grid((40, 40)), 3, order=[(0, 0)], budget=100).size() == 1
 
 
 class TestExactSearch:

@@ -57,6 +57,12 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             CyclicCodeSpec((1, 4), (0, 1))
 
+    def test_integers_only(self):
+        for orders, exps in [((6.7,), (2.5,)), ((6,), (2.5,)), ((6.0,), (2,)),
+                             ((6,), (True,)), ((True, 6), (0, 1))]:
+            with pytest.raises(DomainError):
+                CyclicCodeSpec(orders, exps)
+
 
 class TestDerivation:
     def test_worked_example(self):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,18 @@ class TestGrid:
             Grid((5, 0))
         with pytest.raises(DomainError):
             Grid(())
+
+    def test_integers_only(self):
+        for dims in [(5.9, 2), (5.0, 2), (True, 2), ("5", 2), (None,)]:
+            with pytest.raises(DomainError):
+                Grid(dims)
+        for point in [(1.5, 0), (1.0, 0), (True, 0), ("1", 0)]:
+            with pytest.raises(DomainError):
+                Grid((5, 2)).require(point)
+        # Integer types other than int are taken at their value.
+        g = Grid((np.int64(5), np.uint8(2)))
+        assert g.dims == (5, 2) and all(type(m) is int for m in g.dims)
+        assert Grid((5, 2)).require((np.int32(4), 1)) == (4, 1)
 
     def test_volume_diameter(self):
         g = Grid((5, 2))
