@@ -37,17 +37,6 @@ def simplex_count(n: int, r: int) -> int:
     return sum(math.comb(j + n - 1, j) for j in range(r + 1))
 
 
-def cross_polytope_size(n: int, r: int) -> int:
-    """Size of the radius-r Manhattan ball in Z^n (center-independent)."""
-    if n < 1:
-        raise DomainError(f"dimension {n} must be >= 1")
-    if r < 0:
-        return 0
-    return sum(
-        2**j * math.comb(n, j) * math.comb(r, j) for j in range(min(r, n) + 1)
-    )
-
-
 @dataclass(frozen=True)
 class ExclusionIndex:
     """The k-subsets of coordinates whose side lengths sum to at most r.

@@ -7,16 +7,23 @@ or by the free-space ball size in Z^n (weak, always at most the strong one).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .balls import cross_polytope_size, eta_value, gamma_value
+from .balls import eta_value, gamma_value
 from .errors import DomainError
 from .grid import Grid
 
 
 def zn_ball_size(n: int, r: int) -> int:
-    """Size of the Manhattan r-ball in Z^n."""
-    return cross_polytope_size(n, r)
+    """Size of the Manhattan r-ball in Z^n (center-independent)."""
+    if n < 1:
+        raise DomainError(f"dimension {n} must be >= 1")
+    if r < 0:
+        return 0
+    return sum(
+        2**j * math.comb(n, j) * math.comb(r, j) for j in range(min(r, n) + 1)
+    )
 
 
 @dataclass(frozen=True)

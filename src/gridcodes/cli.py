@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -93,8 +92,7 @@ def cmd_bounds(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise DomainError(f"--sweep {args.sweep} must be >= 1")
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+        writer = csv.writer(sys.stdout, lineterminator="\r\n")
         writer.writerow(["d", "gv_weak", "gv_strong", "hamming_upper"])
         for d in range(1, args.sweep + 1):
             report = bounds.bound_report(grid, d)
@@ -102,7 +100,6 @@ def cmd_bounds(args) -> int:
                 [d, report.gv_lower_weak, report.gv_lower_strong,
                  report.hamming_upper]
             )
-        sys.stdout.write(buf.getvalue())
         return EXIT_OK
     report = bounds.bound_report(grid, args.distance)
     _emit(report.to_json_dict(), args.format)

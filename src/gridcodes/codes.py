@@ -279,6 +279,8 @@ def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> Grid
         raise BudgetError(
             f"greedy scan needs a mask of {count} points, budget is {budget}"
         )
+    # Every distance past the diameter gives the same one-word code.
+    distance = min(distance, grid.diameter() + 1)
     flat, masks = _later_half_ball(grid.dims, distance - 1) or (None, [{}] * grid.n)
     strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
     # free[p]: point p is at distance >= distance from every chosen point.
@@ -313,7 +315,8 @@ def _balls(dims: tuple[int, ...], metric: str):
     the torus and the Hamming graph.  Its edges come as cliques along the
     axis lines: neighbours on a line, plus the wrap-around pair on the
     torus, or the whole line in the Hamming graph.  ``balls[r][v]`` is the
-    r-ball around point v as a bitset, grown by ``_conflict_graph``.
+    r-ball around point v as a bitset, grown by ``_conflict_graph`` up to
+    the eccentricity.
     """
     volume = math.prod(dims)
     cliques = []
@@ -352,9 +355,11 @@ def _conflict_graph(grid: Grid, distance: int, metric: str):
                 union |= prev[u]
             for u in clique:
                 grown[u] |= union
-        # Past the eccentricity the balls stop growing; keep one copy.
-        balls.append(prev if grown == prev else grown)
-    return pts, [ball ^ (1 << v) for v, ball in enumerate(balls[distance - 1])]
+        if grown == prev:
+            break  # past the eccentricity the balls stop growing
+        balls.append(grown)
+    top = balls[min(distance, len(balls)) - 1]
+    return pts, [ball ^ (1 << v) for v, ball in enumerate(top)]
 
 
 def _clique_cover(adj: list[int], cand: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Ambient grid, the three metrics, and exhaustive enumeration oracles.
+"""Ambient grid, the three metrics, and the exhaustive ball-enumeration oracle.
 
 Points are plain tuples of ints, which gives structural equality and a
 total lexicographic order for free.  All counts use Python's exact
@@ -71,11 +71,6 @@ class Grid:
     def diameter(self) -> int:
         """Largest Manhattan distance between two grid points."""
         return sum(m - 1 for m in self.dims)
-
-    def __contains__(self, point) -> bool:
-        if len(point) != self.n:
-            return False
-        return all(0 <= x <= m - 1 for x, m in zip(point, self.dims))
 
     def require(self, point: Point) -> Point:
         """Validate that ``point`` lies in the grid, naming the bad coordinate."""
@@ -196,16 +191,6 @@ def enumerate_ball(
     return [p for p in itertools.product(*ranges) if dist(grid, center, p) <= r]
 
 
-def enumerate_zn_ball(n: int, center: Point, radius: int) -> list[Point]:
-    """The unconstrained Manhattan ball in Z^n (internal oracle, not public API)."""
-    out = []
-    for offs in itertools.product(range(-radius, radius + 1), repeat=n):
-        if sum(abs(o) for o in offs) <= radius:
-            out.append(tuple(c + o for c, o in zip(center, offs)))
-    out.sort()
-    return out
-
-
 def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
     """(min, max) pairwise distance over a set of at least two points.
 
@@ -241,10 +226,3 @@ def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
         lows.append(int(block.min()))
     return min(lows), max(highs)
 
-
-def code_min_distance(grid: Grid, points, metric: str = "manhattan") -> int:
-    return pairwise_distance_extremes(grid, points, metric)[0]
-
-
-def code_max_distance(grid: Grid, points, metric: str = "manhattan") -> int:
-    return pairwise_distance_extremes(grid, points, metric)[1]

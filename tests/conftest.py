@@ -1,5 +1,6 @@
 """Shared helpers: seeded random families and numpy brute-force oracles."""
 
+import itertools
 import math
 import random
 
@@ -29,6 +30,17 @@ def random_grid_family(count=200, max_n=4, max_side=9, max_volume=20000):
         if math.prod(dims) <= max_volume:
             family.append(dims)
     return family
+
+
+def enumerate_zn_ball(n, center, radius):
+    """The unconstrained Manhattan ball in Z^n, sorted: the oracle for
+    ``zn_ball_size``."""
+    out = []
+    for offs in itertools.product(range(-radius, radius + 1), repeat=n):
+        if sum(abs(o) for o in offs) <= radius:
+            out.append(tuple(c + o for c, o in zip(center, offs)))
+    out.sort()
+    return out
 
 
 def ball_size_table(dims):

@@ -8,7 +8,6 @@ from gridcodes import (
     DomainError,
     Grid,
     ball_size_at,
-    cross_polytope_size,
     decompose_ball_orthants,
     decompose_ball_slices,
     enumerate_ball,
@@ -47,17 +46,6 @@ class TestCountingPrimitives:
                 assert simplex_count(n, r) == sum(
                     math.comb(j + n - 1, j) for j in range(r + 1)
                 )
-
-    def test_cross_polytope_brute_force(self):
-        from gridcodes.grid import enumerate_zn_ball
-
-        for n in range(1, 4):
-            for r in range(6):
-                want = len(enumerate_zn_ball(n, (0,) * n, r))
-                assert cross_polytope_size(n, r) == want
-
-    def test_cross_polytope_regression(self):
-        assert cross_polytope_size(2, 3) == 25
 
 
 class TestExclusionLevels:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import random_grid_family
+from conftest import enumerate_zn_ball, random_grid_family
 
 from gridcodes import (
     DomainError,
@@ -20,13 +20,16 @@ class TestZnBall:
         assert zn_ball_size(2, 3) == 25
 
     def test_brute_force(self):
-        from gridcodes.grid import enumerate_zn_ball
-
         for n in range(1, 4):
             for r in range(6):
                 assert zn_ball_size(n, r) == len(
                     enumerate_zn_ball(n, (0,) * n, r)
                 )
+
+    def test_domain(self):
+        assert zn_ball_size(3, -1) == 0
+        with pytest.raises(DomainError):
+            zn_ball_size(0, 2)
 
 
 class TestBoundReport:

@@ -114,6 +114,16 @@ class TestSearchAnalyzeRoundTrip:
         assert data["mode"] == "greedy"
         assert data["size"] == len(data["codewords"])
 
+    def test_greedy_distance_past_int64(self, capsys):
+        # Every distance past the diameter gives the one-word code.
+        code, out, _ = run_cli(
+            capsys, "search", "--grid", "3,3", "--distance", str(2**70)
+        )
+        assert code == 0
+        assert out == (
+            '{"codewords": [[0, 0]], "dims": [3, 3], "mode": "greedy", "size": 1}\n'
+        )
+
     def test_missing_code_file(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "--code", "/nonexistent.json")
         assert code == 2

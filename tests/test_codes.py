@@ -17,7 +17,6 @@ from gridcodes import (
     analyze,
     bound_chain,
     bound_report,
-    code_min_distance,
     covering_property,
     covering_radius,
     exact_max_code,
@@ -65,7 +64,7 @@ def brute_force_max_code(grid, distance, metric="manhattan"):
     best = 1
     for size in range(len(pts), 1, -1):
         for combo in itertools.combinations(pts, size):
-            if code_min_distance(grid, combo, metric) >= distance:
+            if pairwise_distance_extremes(grid, combo, metric)[0] >= distance:
                 return size
     return best
 
@@ -199,7 +198,7 @@ class TestGreedy:
         # Every remaining point is within d-1 of the greedy code.
         g = Grid((6, 5))
         code = greedy_code(g, 4)
-        assert code_min_distance(g, code.codewords) >= 4
+        assert pairwise_distance_extremes(g, code.codewords)[0] >= 4
         assert covering_radius(code) <= 3
 
     def test_stencil_scan_matches_row_scan(self, monkeypatch):
@@ -219,7 +218,7 @@ class TestGreedy:
             if g.volume() <= 200:
                 assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
             assert code == GridCode(g, code.codewords)
-            assert code.size() == 1 or code_min_distance(g, code.codewords) >= d
+            assert code.size() == 1 or pairwise_distance_extremes(g, code.codewords)[0] >= d
             assert covering_radius(code) <= d - 1
 
     def test_row_scan_past_stencil(self, monkeypatch):
@@ -272,12 +271,21 @@ class TestExactSearch:
         assert exact_max_code(g, 4)[0] == 2
         assert exact_max_code(g, 5)[0] == 1
 
+    def test_lee_and_hamming_past_the_eccentricity(self):
+        # The balls stop growing at the eccentricity, so a huge distance
+        # neither loops per unit of d nor caches a level per unit of d.
+        g = Grid((3, 3))
+        for metric in ("lee", "hamming"):
+            size, code = exact_max_code(g, 10**18, metric=metric)
+            assert size == 1 and code.size() == 1
+            assert len(codes._balls(g.dims, metric)[2]) <= g.diameter() + 1
+
     def test_distance_two_is_parity_class(self):
         for dims in [(3, 3), (4, 5), (2, 2, 3)]:
             g = Grid(dims)
             size, code = exact_max_code(g, 2)
             assert size == (g.volume() + 1) // 2
-            assert code_min_distance(g, code.codewords) >= 2
+            assert pairwise_distance_extremes(g, code.codewords)[0] >= 2
 
     def test_one_dimensional(self):
         size, code = exact_max_code(Grid((9,)), 4)
@@ -293,25 +301,25 @@ class TestExactSearch:
             g = Grid(dims)
             for d in range(2, g.diameter() + 1):
                 size, code = exact_max_code(g, d, time_budget=10)
-                assert code_min_distance(g, code.codewords) >= d
+                assert pairwise_distance_extremes(g, code.codewords)[0] >= d
                 assert size == brute_force_max_code(g, d), (dims, d)
 
     def test_witness_is_valid(self):
         g = Grid((4, 4))
         size, code = exact_max_code(g, 3, time_budget=10)
         assert code.size() == size
-        assert code_min_distance(g, code.codewords) >= 3
+        assert pairwise_distance_extremes(g, code.codewords)[0] >= 3
 
     def test_other_metrics(self):
         g = Grid((3, 3))
         size, code = exact_max_code(g, 2, metric="hamming", time_budget=10)
         assert size == 3  # a diagonal: pairwise Hamming distance 2
-        assert code_min_distance(g, code.codewords, "hamming") >= 2
+        assert pairwise_distance_extremes(g, code.codewords, "hamming")[0] >= 2
         # The Singleton bound 2 * 7 closes the search in a few hundred nodes;
         # the clique cover alone stops at 14 <= A <= 28 after 10^5.
         size, code = exact_max_code(Grid((2, 9, 7)), 2, metric="hamming", node_budget=1000)
         assert size == 14
-        assert code_min_distance(code.grid, code.codewords, "hamming") >= 2
+        assert pairwise_distance_extremes(code.grid, code.codewords, "hamming")[0] >= 2
 
     def test_volume_cap(self):
         with pytest.raises(BudgetError):
@@ -354,7 +362,7 @@ class TestExactSearch:
             g = Grid(dims)
             found, code = exact_max_code(g, d, node_budget=10**6)
             assert found == size == code.size(), dims
-            assert code_min_distance(g, code.codewords) >= d
+            assert pairwise_distance_extremes(g, code.codewords)[0] >= d
 
     def test_witness_in_callers_axis_order(self):
         # The search runs with the axes sorted longest first and maps its
@@ -367,7 +375,7 @@ class TestExactSearch:
                     assert code.grid.dims == dims and code.size() == size
                     assert code == GridCode(g, code.codewords)
                     if size > 1:
-                        assert code_min_distance(g, code.codewords, metric) >= d
+                        assert pairwise_distance_extremes(g, code.codewords, metric)[0] >= d
                     if g.volume() <= 8:
                         assert size == brute_force_max_code(g, d, metric), (dims, metric, d)
                     elif g.volume() <= 42:
@@ -386,7 +394,7 @@ class TestExactSearch:
         size, code = exact_max_code(g, 2, metric="hamming", node_budget=100)
         assert size == code.size() == 14
         assert code == GridCode(g, code.codewords)
-        assert code_min_distance(g, code.codewords, "hamming") >= 2
+        assert pairwise_distance_extremes(g, code.codewords, "hamming")[0] >= 2
         # Only completed searches are kept.
         assert not codes._solved
 

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import gridcodes
+
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "gridcodes"
 
 
@@ -45,3 +47,12 @@ def test_no_module_level_numpy_import():
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 stack.extend(ast.iter_child_nodes(node))
     assert not found, found
+
+
+def test_public_names_resolve():
+    # A name dropped from the imports but left in __all__ breaks
+    # ``from gridcodes import *``.
+    names = gridcodes.__all__
+    assert names == sorted(set(names))
+    missing = [name for name in names if not hasattr(gridcodes, name)]
+    assert not missing, missing
