@@ -22,7 +22,7 @@ from gridcodes import (
 )
 from gridcodes.balls import _ball_at, _eta, orthant_subgrid_dims
 
-from conftest import random_grid_family
+from conftest import enumerate_zn_ball, random_grid_family
 
 
 def _cube_eta(n, m, r):
@@ -46,6 +46,18 @@ class TestCountingPrimitives:
                 assert simplex_count(n, r) == sum(
                     math.comb(j + n - 1, j) for j in range(r + 1)
                 )
+
+    def test_cross_polytope_brute_force(self):
+        # A ball centred in a grid of side 2r + 1 is never clipped: it is the
+        # full cross-polytope of Z^n, as enumerated by the oracle.
+        for n in range(1, 4):
+            for r in range(6):
+                g = Grid((2 * r + 1,) * n)
+                want = len(enumerate_zn_ball(n, (0,) * n, r))
+                assert ball_size_at(g, (r,) * n, r).value == want
+
+    def test_cross_polytope_regression(self):
+        assert ball_size_at(Grid((7, 7)), (3, 3), 3).value == 25
 
 
 class TestExclusionLevels:
