@@ -16,7 +16,8 @@ no pairwise distances: the covering radius is the largest value of the
 code's exact L1 distance transform, and the greedy scan clears a
 precomputed stencil of the later half of each chosen point's ball, or else
 its dense distance row, from a mask of free points.  Only ``analyze`` scans
-point pairs, through the one kernel, ``grid.pairwise_distance_extremes``.
+point pairs, in one call of ``grid.pairwise_distance_extremes`` for all three
+metrics.
 The conflict graph grows its balls one radius at a time over the metric's
 graph on the box, without numpy.
 """
@@ -176,13 +177,6 @@ def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     return int(dist.max())
 
 
-def covering_property(code: GridCode, r: int, budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every grid point is within distance r of some codeword."""
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
-    return covering_radius(code, budget=budget) <= r
-
-
 def analyze(
     code: GridCode,
     requested_covering_radii=(),
@@ -192,23 +186,18 @@ def analyze(
         if r < 0:
             raise DomainError(f"radius {r} must be >= 0")
     grid = code.grid
-    mins: dict[str, int] = {}
-    maxs: dict[str, int] = {}
     if code.size() >= 2:
-        for metric in ("manhattan", "lee", "hamming"):
-            lo, hi = pairwise_distance_extremes(grid, code.codewords, metric)
-            mins[metric] = lo
-            maxs[metric] = hi
-        t = (mins["manhattan"] - 1) // 2
+        extremes = pairwise_distance_extremes(grid, code.codewords)
+        t = (extremes["manhattan"][0] - 1) // 2
     else:
         # A single word packs balls of any radius; use the largest meaningful one.
-        t = grid.diameter()
+        extremes, t = {}, grid.diameter()
     s = covering_radius(code, budget=budget)
     attains = code.size() * eta_value(grid.dims, t) == grid.volume()
     return CodeAnalysis(
         code=code,
-        min_distance=mins,
-        max_distance=maxs,
+        min_distance={metric: lo for metric, (lo, _) in extremes.items()},
+        max_distance={metric: hi for metric, (_, hi) in extremes.items()},
         packing_radius=t,
         covering_radius=s,
         is_perfect=s <= t,
@@ -523,9 +512,9 @@ def exact_max_code(
 ) -> tuple[int, GridCode]:
     """Exact maximum code size with minimum distance >= distance, plus a witness.
 
-    An unknown ``metric`` is a DomainError before any closed form.  Closed
-    forms handle distance 1, distance 2, one effective dimension, and
-    distances beyond the diameter.  Otherwise ``max_independent_set``
+    An unknown ``metric`` or a negative ``node_budget`` is a DomainError
+    before any closed form.  Closed forms handle distance 1, distance 2, one
+    effective dimension, and distances beyond the diameter.  Otherwise ``max_independent_set``
     searches the conflict graph of the canonical box (sides of 1 dropped,
     the rest sorted longest first) and stops at ``hamming_bound``, which
     holds under every metric, lowered to the Singleton bound under the
@@ -542,6 +531,8 @@ def exact_max_code(
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
+    if node_budget is not None and node_budget < 0:
+        raise DomainError(f"node budget {node_budget} must be >= 0")
     metric_function(metric)  # raises the canonical DomainError
     volume = grid.volume()
     if volume > DEFAULT_EXACT_VOLUME:

@@ -24,7 +24,7 @@ from .errors import BudgetError, DomainError, GridCodesError
 from .grid import integer
 
 #: Largest cyclic-code order that ``bound_chain``'s power-difference scans
-#: and ``min_hamming_distance``'s ``verify`` power scan accept by default.
+#: accept by default.
 DEFAULT_ORDER_BUDGET = 5000
 
 
@@ -110,7 +110,7 @@ def codewords(spec: CyclicCodeSpec, derived: CyclicDerived | None = None):
 
 
 def min_hamming_distance(
-    spec: CyclicCodeSpec, derived: CyclicDerived | None = None, verify: bool = False
+    spec: CyclicCodeSpec, derived: CyclicDerived | None = None
 ) -> tuple[int, int]:
     """(minimum, maximum) Hamming distance of the cyclic code.
 
@@ -119,10 +119,6 @@ def min_hamming_distance(
     in a coprime base of the refined orders m̂ᵢ, so it vanishes wherever the
     power order/b does: on the axes whose m̂ᵢ lacks the full b-part.  The
     minimum is the least count, over b, of the axes with gcd(order/m̂ᵢ, b) = 1.
-
-    With ``verify`` the closed form is checked against a scan of the
-    supports of all non-identity powers, which raises ``BudgetError`` when
-    the order exceeds ``DEFAULT_ORDER_BUDGET``.
     """
     derived = derived or derive(spec)
     if derived.order < 2:
@@ -133,20 +129,6 @@ def min_hamming_distance(
         for b in _coprime_base(derived.hat_sides.values())
     )
     delta_h = len(derived.support)
-    if verify:
-        if derived.order > DEFAULT_ORDER_BUDGET:
-            raise BudgetError(
-                f"order {derived.order} exceeds the order budget {DEFAULT_ORDER_BUDGET}"
-            )
-        supports = [
-            sum(1 for c in codeword(spec, k) if c != 0)
-            for k in range(1, derived.order)
-        ]
-        if (d_h, delta_h) != (min(supports), max(supports)):
-            raise GridCodesError(
-                f"closed form gives Hamming distances {(d_h, delta_h)}, the "
-                f"power scan {(min(supports), max(supports))}, for {spec}"
-            )
     return d_h, delta_h
 
 

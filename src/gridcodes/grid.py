@@ -6,7 +6,8 @@ integers, so nothing here can silently overflow.
 
 Every distance between many points comes from one numpy kernel, the
 pairwise scan ``pairwise_distance_extremes``, which loads numpy on first use
-and sums the per-axis distances in blocks of at most ``CHUNK`` rows.  The
+and, in one pass over blocks of at most ``CHUNK`` rows, adds each axis's
+|x - y| to the distances of all three metrics at once.  The
 covering radius and the greedy scan need no point pairs: they work on the
 dense box, and the exact search's conflict graph grows its balls from the
 metric's graph on the box (see ``codes``).  The cyclic chain reads
@@ -31,8 +32,9 @@ DEFAULT_BUDGET = 10_000_000
 
 METRICS = ("manhattan", "lee", "hamming")
 
-#: Rows per block of the pairwise scan; a block holds CHUNK x columns int64s.
-CHUNK = 512
+#: Rows per block of the pairwise scan.  A block holds five CHUNK x points
+#: arrays (three sums and two work buffers): 1020 rows of cells in all.
+CHUNK = 204
 
 
 def integer(value, what: str) -> int:
@@ -191,38 +193,46 @@ def enumerate_ball(
     return [p for p in itertools.product(*ranges) if dist(grid, center, p) <= r]
 
 
-def pairwise_distance_extremes(grid: Grid, points, metric: str = "manhattan"):
-    """(min, max) pairwise distance over a set of at least two points.
+def pairwise_distance_extremes(grid: Grid, points) -> dict[str, tuple[int, int]]:
+    """{metric: (min, max)} pairwise distance over a set of at least two
+    points, for every metric in ``METRICS``.
 
-    The one pairwise kernel: numpy sums the per-axis distances of blocks of
-    ``CHUNK`` points against every later point, as int64s, or as Python ints
-    when the sides sum past int64."""
+    The one pairwise kernel: numpy takes each axis's |x - y| once for a block
+    of ``CHUNK`` points against every later point and adds it to three sums,
+    as Manhattan |x - y|, Lee min(|x - y|, m - |x - y|) and Hamming
+    min(|x - y|, 1).  Entries are int32s, or int64s or Python ints when the
+    sides sum past int32 or int64."""
     import numpy as np
-    metric_function(metric)  # raises the canonical DomainError
     pts = sorted({grid.require(p) for p in points})
     if len(pts) < 2:
         raise DomainError("minimum distance undefined for fewer than two points")
-    dtype = np.int64 if sum(grid.dims) <= np.iinfo(np.int64).max else object
+    top = sum(grid.dims)
+    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
     arr = np.asarray(pts, dtype=dtype)
+    # Every block's three sums and two work buffers are views of one array.
+    work = np.empty(5 * min(CHUNK, len(pts)) * len(pts), dtype=dtype)
     lows, highs = [], []
     # Each block pairs its rows with every later point; starting blocks only
     # while two points remain keeps a real pair in every block.
     for start in range(0, len(pts) - 1, CHUNK):
         rows, cols = arr[start : start + CHUNK], arr[start:]
-        block = np.zeros((len(rows), len(cols)), dtype=dtype)
-        diff = np.empty_like(block)
+        shape = (5, len(rows), len(cols))
+        view = work[: math.prod(shape)].reshape(shape)
+        manhattan, lee, hamming, diff, tmp = view
+        sums = view[:3]
+        sums.fill(0)
         for axis, m in enumerate(grid.dims):
             np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)
             np.abs(diff, out=diff)
-            if metric == "lee":
-                np.minimum(diff, m - diff, out=diff)
-            elif metric == "hamming":
-                np.minimum(diff, 1, out=diff)
-            block += diff
-        highs.append(int(block.max()))
-        # The diagonal holds the only zeros (the points are distinct); lifting
-        # it to the block maximum leaves the minimum to the real pairs.
-        np.fill_diagonal(block, highs[-1])
-        lows.append(int(block.min()))
-    return min(lows), max(highs)
-
+            manhattan += diff
+            np.subtract(m, diff, out=tmp)
+            lee += np.minimum(diff, tmp, out=tmp)
+            hamming += np.minimum(diff, 1, out=tmp)
+        highs.append(sums.max(axis=(1, 2)))
+        # The diagonals hold the only zeros (the points are distinct); lifting
+        # them to the block maxima leaves the minima to the real pairs.
+        diagonal = np.arange(len(rows))
+        sums[:, diagonal, diagonal] = highs[-1][:, None]
+        lows.append(sums.min(axis=(1, 2)))
+    pairs = zip(np.min(lows, axis=0).tolist(), np.max(highs, axis=0).tolist())
+    return dict(zip(METRICS, pairs))

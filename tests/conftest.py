@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from gridcodes import Grid
+from gridcodes import Grid, codeword, derive
 
 FAMILY_SEED = 20260823
 
@@ -41,6 +41,15 @@ def enumerate_zn_ball(n, center, radius):
             out.append(tuple(c + o for c, o in zip(center, offs)))
     out.sort()
     return out
+
+
+def power_support_extremes(spec):
+    """(min, max) support size over the non-identity powers of the generator:
+    the power-scan oracle for ``min_hamming_distance``."""
+    supports = [
+        sum(1 for c in codeword(spec, k) if c != 0) for k in range(1, derive(spec).order)
+    ]
+    return min(supports), max(supports)
 
 
 def ball_size_table(dims):

@@ -17,7 +17,6 @@ from gridcodes import (
     analyze,
     bound_chain,
     bound_report,
-    covering_property,
     covering_radius,
     exact_max_code,
     greedy_code,
@@ -58,13 +57,18 @@ def lexicographic_greedy(grid, distance):
     return tuple(code)
 
 
+def min_distance(grid, words, metric="manhattan"):
+    """Minimum pairwise distance of ``words`` under ``metric``, from the kernel."""
+    return pairwise_distance_extremes(grid, words)[metric][0]
+
+
 def brute_force_max_code(grid, distance, metric="manhattan"):
     """Reference exponential search, usable only on tiny grids."""
     pts = list(grid.points())
     best = 1
     for size in range(len(pts), 1, -1):
         for combo in itertools.combinations(pts, size):
-            if pairwise_distance_extremes(grid, combo, metric)[0] >= distance:
+            if min_distance(grid, combo, metric) >= distance:
                 return size
     return best
 
@@ -141,8 +145,6 @@ class TestAnalysis:
         g = Grid((5, 2))
         code = GridCode(g, ((0, 0), (4, 1)))
         assert covering_radius(code) == 2
-        assert covering_property(code, 2)
-        assert not covering_property(code, 1)
         # Random codes on grids of more than CHUNK points.
         rng = random.Random(11)
         for dims in ((30, 20), (9, 8, 10), (4, 5, 6, 7)):
@@ -173,6 +175,24 @@ class TestAnalysis:
         result = analyze(code, requested_covering_radii=(1, 2, 3))
         assert result.covering_property == {1: False, 2: True, 3: True}
 
+    def test_one_kernel_call(self, monkeypatch):
+        # One pass of the pairwise kernel gives all three metrics.
+        calls = []
+
+        def counted(grid, points):
+            calls.append(len(points))
+            return pairwise_distance_extremes(grid, points)
+
+        monkeypatch.setattr(codes, "pairwise_distance_extremes", counted)
+        code = greedy_code(Grid((9, 8, 10)), 4)
+        result = analyze(code)
+        assert calls == [code.size()]
+        extremes = pairwise_distance_extremes(code.grid, code.codewords)
+        assert result.min_distance == {m: lo for m, (lo, _) in extremes.items()}
+        assert result.max_distance == {m: hi for m, (_, hi) in extremes.items()}
+        analyze(GridCode(code.grid, code.codewords[:1]))
+        assert len(calls) == 1
+
     def test_negative_requested_radius(self):
         code = GridCode(Grid((5, 2)), ((0, 0), (4, 1)))
         with pytest.raises(DomainError, match="radius -1"):
@@ -186,8 +206,9 @@ def test_distance_outputs_are_python_ints():
     values = [result.covering_radius, result.packing_radius]
     values += [*result.min_distance.values(), *result.max_distance.values()]
     assert len(values) == 8
-    for metric in ("manhattan", "lee", "hamming"):
-        values += pairwise_distance_extremes(g, [(0, 0, 0), (3, 7, 9), (8, 1, 2)], metric)
+    extremes = pairwise_distance_extremes(g, [(0, 0, 0), (3, 7, 9), (8, 1, 2)])
+    assert len(extremes) == 3
+    values += [v for pair in extremes.values() for v in pair]
     chain = bound_chain(CyclicCodeSpec((8, 12, 9), (2, 3, 4)))
     values += [getattr(chain, f.name) for f in dataclasses.fields(chain) if f.name != "spec"]
     assert all(type(v) is int for v in values)
@@ -198,7 +219,7 @@ class TestGreedy:
         # Every remaining point is within d-1 of the greedy code.
         g = Grid((6, 5))
         code = greedy_code(g, 4)
-        assert pairwise_distance_extremes(g, code.codewords)[0] >= 4
+        assert min_distance(g, code.codewords) >= 4
         assert covering_radius(code) <= 3
 
     def test_stencil_scan_matches_row_scan(self, monkeypatch):
@@ -218,7 +239,7 @@ class TestGreedy:
             if g.volume() <= 200:
                 assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
             assert code == GridCode(g, code.codewords)
-            assert code.size() == 1 or pairwise_distance_extremes(g, code.codewords)[0] >= d
+            assert code.size() == 1 or min_distance(g, code.codewords) >= d
             assert covering_radius(code) <= d - 1
 
     def test_row_scan_past_stencil(self, monkeypatch):
@@ -285,7 +306,7 @@ class TestExactSearch:
             g = Grid(dims)
             size, code = exact_max_code(g, 2)
             assert size == (g.volume() + 1) // 2
-            assert pairwise_distance_extremes(g, code.codewords)[0] >= 2
+            assert min_distance(g, code.codewords) >= 2
 
     def test_one_dimensional(self):
         size, code = exact_max_code(Grid((9,)), 4)
@@ -301,25 +322,25 @@ class TestExactSearch:
             g = Grid(dims)
             for d in range(2, g.diameter() + 1):
                 size, code = exact_max_code(g, d, time_budget=10)
-                assert pairwise_distance_extremes(g, code.codewords)[0] >= d
+                assert min_distance(g, code.codewords) >= d
                 assert size == brute_force_max_code(g, d), (dims, d)
 
     def test_witness_is_valid(self):
         g = Grid((4, 4))
         size, code = exact_max_code(g, 3, time_budget=10)
         assert code.size() == size
-        assert pairwise_distance_extremes(g, code.codewords)[0] >= 3
+        assert min_distance(g, code.codewords) >= 3
 
     def test_other_metrics(self):
         g = Grid((3, 3))
         size, code = exact_max_code(g, 2, metric="hamming", time_budget=10)
         assert size == 3  # a diagonal: pairwise Hamming distance 2
-        assert pairwise_distance_extremes(g, code.codewords, "hamming")[0] >= 2
+        assert min_distance(g, code.codewords, "hamming") >= 2
         # The Singleton bound 2 * 7 closes the search in a few hundred nodes;
         # the clique cover alone stops at 14 <= A <= 28 after 10^5.
         size, code = exact_max_code(Grid((2, 9, 7)), 2, metric="hamming", node_budget=1000)
         assert size == 14
-        assert pairwise_distance_extremes(code.grid, code.codewords, "hamming")[0] >= 2
+        assert min_distance(code.grid, code.codewords, "hamming") >= 2
 
     def test_volume_cap(self):
         with pytest.raises(BudgetError):
@@ -343,6 +364,12 @@ class TestExactSearch:
         # whose axes are sorted longest first.
         pts, adj = _conflict_graph(Grid((8, 4, 4, 4)), 3, "manhattan")
         assert lower >= len(_best_incumbent(pts, adj, 4, 3))
+        # A budget of 0 stops at once; a negative one is an error, not an
+        # unlimited search.
+        with pytest.raises(BudgetError, match="after 0 nodes"):
+            exact_max_code(Grid((6, 6, 4)), 3, node_budget=0)
+        with pytest.raises(DomainError, match="node budget -1"):
+            exact_max_code(Grid((6, 6, 4)), 3, node_budget=-1)
 
     def test_lee_stop_is_capped_by_the_hamming_bound(self):
         # Lee distances never exceed Manhattan ones, so the Hamming bound
@@ -362,7 +389,7 @@ class TestExactSearch:
             g = Grid(dims)
             found, code = exact_max_code(g, d, node_budget=10**6)
             assert found == size == code.size(), dims
-            assert pairwise_distance_extremes(g, code.codewords)[0] >= d
+            assert min_distance(g, code.codewords) >= d
 
     def test_witness_in_callers_axis_order(self):
         # The search runs with the axes sorted longest first and maps its
@@ -375,7 +402,7 @@ class TestExactSearch:
                     assert code.grid.dims == dims and code.size() == size
                     assert code == GridCode(g, code.codewords)
                     if size > 1:
-                        assert pairwise_distance_extremes(g, code.codewords, metric)[0] >= d
+                        assert min_distance(g, code.codewords, metric) >= d
                     if g.volume() <= 8:
                         assert size == brute_force_max_code(g, d, metric), (dims, metric, d)
                     elif g.volume() <= 42:
@@ -394,7 +421,7 @@ class TestExactSearch:
         size, code = exact_max_code(g, 2, metric="hamming", node_budget=100)
         assert size == code.size() == 14
         assert code == GridCode(g, code.codewords)
-        assert pairwise_distance_extremes(g, code.codewords, "hamming")[0] >= 2
+        assert min_distance(g, code.codewords, "hamming") >= 2
         # Only completed searches are kept.
         assert not codes._solved
 

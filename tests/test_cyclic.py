@@ -9,7 +9,6 @@ from gridcodes import (
     CyclicCodeSpec,
     DomainError,
     Grid,
-    GridCodesError,
     bound_chain,
     codeword,
     codeword_distance,
@@ -20,6 +19,8 @@ from gridcodes import (
     min_hamming_distance,
     pairwise_distance_extremes,
 )
+
+from conftest import power_support_extremes
 
 
 PRIMES = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
@@ -115,7 +116,7 @@ class TestDerivation:
 class TestHammingDistances:
     def test_worked_example(self):
         spec = CyclicCodeSpec((8, 8, 8, 8), (2, 2, 4, 4))
-        assert min_hamming_distance(spec, verify=True) == (2, 4)
+        assert min_hamming_distance(spec) == power_support_extremes(spec) == (2, 4)
 
     def test_random_specs_against_support_scan(self):
         rng = random.Random(29)
@@ -135,35 +136,27 @@ class TestHammingDistances:
             size = len(derived.support)
             largest = max(map(len, vanishing_sets_by_subsets(derived)))
             assert min_hamming_distance(spec) == (size - largest, size), spec
-            # verify=True asserts the closed form against the power scan.
-            min_hamming_distance(spec, verify=True)
+            assert min_hamming_distance(spec) == power_support_extremes(spec), spec
             checked += 1
         # Refined orders 3 and 2 from sides past int64.
         spec = CyclicCodeSpec((3 * 2**64, 10), (2**64, 5))
         assert derive(spec).order == 6
-        assert min_hamming_distance(spec, verify=True) == (1, 2)
+        assert min_hamming_distance(spec) == power_support_extremes(spec) == (1, 2)
         # Support 30: far past any subset enumeration.
         spec = CyclicCodeSpec((2, 3, 4, 6) * 7 + (2, 3), (1,) * 30)
         derived = derive(spec)
         assert len(derived.support) == 30 and derived.order == 12
-        assert min_hamming_distance(spec, verify=True) == (7, 30)
+        assert min_hamming_distance(spec) == power_support_extremes(spec) == (7, 30)
 
-    def test_verify_raises_when_scan_disagrees(self, monkeypatch):
-        spec = CyclicCodeSpec((4, 6), (1, 2))
-        monkeypatch.setattr(cyclic, "codeword", lambda spec, k: (0,) * spec.n)
-        with pytest.raises(GridCodesError):
-            min_hamming_distance(spec, verify=True)
-
-    def test_verify_scan_is_bounded(self):
+    def test_closed_form_past_any_scan(self):
+        # Order 2^40: the closed form needs no pass over the powers.
         spec = CyclicCodeSpec((2**40,), (1,))
-        with pytest.raises(BudgetError, match="order budget"):
-            min_hamming_distance(spec, verify=True)
         assert min_hamming_distance(spec) == (1, 1)
 
     def test_order_two_code(self):
         spec = CyclicCodeSpec((4, 4), (2, 2))
         assert derive(spec).order == 2
-        assert min_hamming_distance(spec, verify=True) == (2, 2)
+        assert min_hamming_distance(spec) == power_support_extremes(spec) == (2, 2)
 
 
 class TestCodewordDistance:
@@ -354,14 +347,12 @@ class TestDifferenceScan:
         words = codewords(spec, derived)
         hat_sides = tuple(derived.hat_sides[i] for i in derived.support)
         hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
-        assert (chain.d_manhattan, chain.delta_manhattan) == (
-            pairwise_distance_extremes(Grid(spec.orders), words)
-        )
-        assert chain.hat_d_manhattan == (
-            pairwise_distance_extremes(Grid(hat_sides), hats)[0]
-        )
-        assert chain.d_lee == pairwise_distance_extremes(Grid(spec.orders), words, "lee")[0]
-        assert chain.hat_d_lee == pairwise_distance_extremes(Grid(hat_sides), hats, "lee")[0]
+        ambient = pairwise_distance_extremes(Grid(spec.orders), words)
+        refined = pairwise_distance_extremes(Grid(hat_sides), hats)
+        assert (chain.d_manhattan, chain.delta_manhattan) == ambient["manhattan"]
+        assert chain.hat_d_manhattan == refined["manhattan"][0]
+        assert chain.d_lee == ambient["lee"][0]
+        assert chain.hat_d_lee == refined["lee"][0]
 
     def test_sides_past_int64(self):
         spec = CyclicCodeSpec((3 * 2**64, 5), (2**64, 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from gridcodes import (
     pairwise_distance_extremes,
     parse_point,
 )
-from gridcodes.grid import CHUNK, metric_function
+from gridcodes.grid import CHUNK, METRICS, metric_function
 
 grids = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
     lambda dims: Grid(tuple(dims))
@@ -162,8 +163,9 @@ class TestPairwiseDistances:
     def test_extremes(self):
         g = Grid((8, 8, 8, 8))
         pts = [(0, 0, 0, 0), (2, 2, 4, 4), (4, 4, 0, 0), (6, 6, 4, 4)]
-        assert pairwise_distance_extremes(g, pts, "manhattan") == (8, 20)
-        assert pairwise_distance_extremes(g, pts, "hamming") == (2, 4)
+        assert pairwise_distance_extremes(g, pts) == {
+            "manhattan": (8, 20), "lee": (8, 12), "hamming": (2, 4),
+        }
 
     def test_single_point_undefined(self):
         g = Grid((3, 3))
@@ -171,22 +173,39 @@ class TestPairwiseDistances:
             pairwise_distance_extremes(g, [(0, 0)])
 
     def test_brute_force_agreement(self):
-        # The 600-point set spans two kernel blocks (CHUNK = 512 rows).
+        # The 600-point set spans several kernel blocks.
         small = (Grid((4, 3)), [(0, 0), (3, 2), (1, 1), (2, 0)])
         big = Grid((30, 30))
         many = random.Random(3).sample(list(big.points()), 600)
-        assert len(many) > CHUNK
+        assert len(many) > 2 * CHUNK
         for g, pts in (small, (big, many)):
-            for metric in ("manhattan", "lee", "hamming"):
+            got = pairwise_distance_extremes(g, pts)
+            assert list(got) == list(METRICS)
+            for metric in METRICS:
                 dist = metric_function(metric)
                 dists = [dist(g, a, b) for a, b in itertools.combinations(pts, 2)]
-                got = pairwise_distance_extremes(g, pts, metric)
-                assert got == (min(dists), max(dists)), metric
+                assert got[metric] == (min(dists), max(dists)), metric
 
     def test_exact_past_int64(self):
-        side = 2**62
-        g = Grid((side, side, side))
-        pts = [(0, 0, 0), (side - 1, side - 1, side - 1), (1, 0, 0)]
-        assert pairwise_distance_extremes(g, pts) == (1, 3 * (side - 1))
-        assert pairwise_distance_extremes(g, pts, "lee") == (1, 4)
-        assert pairwise_distance_extremes(g, pts, "hamming") == (1, 3)
+        # Sides summing past int32 take int64 entries, and past int64 Python ints.
+        for side in (2**40, 2**62):
+            g = Grid((side, side, side))
+            pts = [(0, 0, 0), (side - 1, side - 1, side - 1), (1, 0, 0)]
+            assert pairwise_distance_extremes(g, pts) == {
+                "manhattan": (1, 3 * (side - 1)), "lee": (1, 4), "hamming": (1, 3),
+            }
+
+    def test_peak_memory_of_the_blocks(self):
+        # Five CHUNK-row buffers must hold no more cells than two 512-row
+        # blocks; 1000 points take five blocks of int32s.  The warm-up keeps
+        # numpy's lazy imports out of the trace.
+        g = Grid((10, 10, 10))
+        pts = list(g.points())
+        pairwise_distance_extremes(g, pts[:3])
+        tracemalloc.start()
+        try:
+            pairwise_distance_extremes(g, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 512 * len(pts) * 4 + 2**19
