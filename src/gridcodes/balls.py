@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError, check_budget
 from .grid import DEFAULT_BUDGET, BallSpec, Grid, Point, enumerate_ball
 
 
@@ -151,11 +151,19 @@ def _ball(dims, center, r: int) -> int:
     """Size of the radius-r ball around ``center`` in the box ``dims``.
 
     Reflecting an axis or permuting the axes keeps the ball size, so the
-    cache key is the sorted tuple of (side, distance to the nearer end).
+    cache key is the sorted tuple of (side, distance to the nearer end).  A
+    profile costs up to (axes x longest side)^2 products; past the budget
+    each axis keeps only the points within r of the center, which leaves the
+    sizes up to r alone, and the products of that profile are charged.
     """
     if r < 0:
         return 0
     axes = sorted((m, min(c, m - 1 - c)) for m, c in zip(dims, center) if m > 1)
+    if axes and (len(axes) * axes[-1][0]) ** 2 > DEFAULT_BUDGET:
+        axes = sorted((min(c, r) + min(m - 1 - c, r) + 1, min(c, r)) for m, c in axes)
+        lengths = itertools.accumulate((m - c - 1 for m, c in axes), initial=1)
+        work = sum(k * (m - c) for k, (m, c) in zip(lengths, axes))
+        check_budget(work, DEFAULT_BUDGET, "ball profile needs {} products")
     sizes = _profile(tuple(axes))
     return sizes[min(r, len(sizes) - 1)]
 

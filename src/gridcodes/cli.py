@@ -144,9 +144,7 @@ def cmd_cyclic(args) -> int:
     chain = cyclic.bound_chain(spec)
     payload = chain.to_json_dict()
     if chain.order <= args.codeword_limit:
-        payload["codewords"] = [
-            list(cyclic.codeword(spec, k)) for k in range(chain.order)
-        ]
+        payload["codewords"] = [list(word) for word in cyclic.codewords(spec)]
     _emit(payload, args.format)
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 from .balls import eta_value
 from .bounds import hamming_bound
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_budget
 from .grid import (
     DEFAULT_BUDGET,
     Grid,
@@ -155,11 +155,7 @@ def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     """
     import numpy as np
     grid = code.grid
-    if grid.volume() > budget:
-        raise BudgetError(
-            f"covering radius needs a full scan of {grid.volume()} points, "
-            f"budget is {budget}"
-        )
+    check_budget(grid.volume(), budget, "covering radius needs a full scan of {} points")
     far = grid.diameter() + 1
     dist = np.full(grid.dims, far, dtype=np.int32 if far < 2**31 else np.int64)
     dist[tuple(np.array(code.codewords).T)] = 0
@@ -186,13 +182,15 @@ def analyze(
         if r < 0:
             raise DomainError(f"radius {r} must be >= 0")
     grid = code.grid
+    s = covering_radius(code, budget=budget)
+    pairs = math.comb(code.size(), 2)
+    check_budget(pairs, budget, "pairwise scan needs {} codeword pairs")
     if code.size() >= 2:
         extremes = pairwise_distance_extremes(grid, code.codewords)
         t = (extremes["manhattan"][0] - 1) // 2
     else:
         # A single word packs balls of any radius; use the largest meaningful one.
         extremes, t = {}, grid.diameter()
-    s = covering_radius(code, budget=budget)
     attains = code.size() * eta_value(grid.dims, t) == grid.volume()
     return CodeAnalysis(
         code=code,
@@ -264,10 +262,7 @@ def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> Grid
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     count = grid.volume()
-    if count > budget:
-        raise BudgetError(
-            f"greedy scan needs a mask of {count} points, budget is {budget}"
-        )
+    check_budget(count, budget, "greedy scan needs a mask of {} points")
     # Every distance past the diameter gives the same one-word code.
     distance = min(distance, grid.diameter() + 1)
     flat, masks = _later_half_ball(grid.dims, distance - 1) or (None, [{}] * grid.n)
@@ -452,14 +447,14 @@ def max_independent_set(
     return sorted(best)
 
 
-def _best_incumbent(pts, adj, n_coords: int, distance: int) -> list[int]:
+def _best_incumbent(pts, adj, distance: int) -> list[int]:
     """Strongest cheap independent set: greedy over several scan orders.
 
     Besides the plain lexicographic scan, points are grouped by weighted
     congruence classes (which recovers lattice-like packings) and by a few
     seeded shuffles.
     """
-    count = len(pts)
+    count, n_coords = len(pts), len(pts[0])
     orders = [list(range(count))]
     moduli = sorted({distance, distance + 1, 2 * distance - 1})
     dots = [
@@ -535,11 +530,8 @@ def exact_max_code(
         raise DomainError(f"node budget {node_budget} must be >= 0")
     metric_function(metric)  # raises the canonical DomainError
     volume = grid.volume()
-    if volume > DEFAULT_EXACT_VOLUME:
-        raise BudgetError(
-            f"exact search limited to volume {DEFAULT_EXACT_VOLUME} "
-            f"(grid has {volume}); consider greedy_code"
-        )
+    what = "exact search needs a conflict graph on {} points"
+    check_budget(volume, DEFAULT_EXACT_VOLUME, what)
     if distance == 1:
         return volume, GridCode._trusted(grid, tuple(grid.points()))
     dims = grid.dims
@@ -577,9 +569,7 @@ def exact_max_code(
             stats=stats,
         )
     except BudgetError as error:
-        # With the caller's axis count the congruence weights are those of the
-        # full grid; its sides of 1 add nothing to the dot products.
-        incumbent = _best_incumbent(pts, adj, grid.n, distance)
+        incumbent = _best_incumbent(pts, adj, distance)
         chosen = max(error.best, incumbent, key=len)
         if len(chosen) < error.upper:
             stopped = BudgetError(f"{error}: {len(chosen)} <= A <= {error.upper}")

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError, GridCodesError
+from .errors import DomainError, GridCodesError, check_budget
 from .grid import integer
 
 #: Largest cyclic-code order that ``bound_chain``'s power-difference scans
@@ -51,10 +51,6 @@ class CyclicCodeSpec:
             raise DomainError("trivial generator: all exponents are zero")
         object.__setattr__(self, "orders", orders)
         object.__setattr__(self, "generator_exponents", exps)
-
-    @property
-    def n(self) -> int:
-        return len(self.orders)
 
 
 @dataclass(frozen=True)
@@ -104,9 +100,8 @@ def codeword(spec: CyclicCodeSpec, k: int) -> tuple[int, ...]:
     return tuple((e * k) % m for e, m in zip(spec.generator_exponents, spec.orders))
 
 
-def codewords(spec: CyclicCodeSpec, derived: CyclicDerived | None = None):
-    derived = derived or derive(spec)
-    return [codeword(spec, k) for k in range(derived.order)]
+def codewords(spec: CyclicCodeSpec) -> list[tuple[int, ...]]:
+    return [codeword(spec, k) for k in range(derive(spec).order)]
 
 
 def min_hamming_distance(
@@ -121,8 +116,6 @@ def min_hamming_distance(
     minimum is the least count, over b, of the axes with gcd(order/m̂ᵢ, b) = 1.
     """
     derived = derived or derive(spec)
-    if derived.order < 2:
-        raise DomainError("the code has a single element; distances are undefined")
     cofactor_orders = [derived.order // m for m in derived.hat_sides.values()]
     d_h = min(
         sum(1 for c in cofactor_orders if math.gcd(c, b) == 1)
@@ -260,10 +253,7 @@ def bound_chain(
     """
     derived = derive(spec)
     order = derived.order
-    if order < 2:
-        raise DomainError("the code has a single element; distances are undefined")
-    if order > order_budget:
-        raise BudgetError(f"order {order} exceeds the order budget {order_budget}")
+    check_budget(order, order_budget, "cyclic code has order {}")
 
     d_h, delta_h = min_hamming_distance(spec, derived)
     d_lee, d_man, delta_man, hat_d_lee, hat_d_man = _power_extremes(derived)

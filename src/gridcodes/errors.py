@@ -11,3 +11,12 @@ class DomainError(GridCodesError):
 
 class BudgetError(GridCodesError):
     """An exhaustive computation would exceed the configured enumeration budget."""
+
+
+def check_budget(work: int, budget: int, what: str) -> None:
+    """The one budget gate: raise BudgetError when ``work`` exceeds ``budget``.
+
+    ``what`` describes the work, with ``{}`` standing for its amount.
+    """
+    if work > budget:
+        raise BudgetError(f"{what.format(work)}, budget is {budget}")

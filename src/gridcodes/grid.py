@@ -23,7 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import BudgetError, DomainError
+from .errors import DomainError, check_budget
 
 Point = tuple[int, ...]
 
@@ -186,10 +186,7 @@ def enumerate_ball(
         ranges = [range(m) for m in grid.dims]
 
     count = math.prod(len(rng) for rng in ranges)
-    if count > budget:
-        raise BudgetError(
-            f"ball enumeration would scan {count} points, budget is {budget}"
-        )
+    check_budget(count, budget, "ball enumeration would scan {} points")
     return [p for p in itertools.product(*ranges) if dist(grid, center, p) <= r]
 
 

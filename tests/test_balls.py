@@ -5,6 +5,7 @@ import pytest
 
 from gridcodes import (
     BallSpec,
+    BudgetError,
     DomainError,
     Grid,
     ball_size_at,
@@ -20,7 +21,7 @@ from gridcodes import (
     outermost_set,
     simplex_count,
 )
-from gridcodes.balls import _ball_at, _eta, orthant_subgrid_dims
+from gridcodes.balls import _ball_at, _eta, _profile, orthant_subgrid_dims
 
 from conftest import enumerate_zn_ball, random_grid_family
 
@@ -112,6 +113,26 @@ class TestEtaGamma:
         assert eta(g, 0).path == "formula-direct"
         assert gamma(g, 0).path == "gamma-trivial-small"
         assert gamma(g, 9).value == g.volume()
+
+    def test_large_boxes_cost_the_radius(self):
+        # Past the trigger each axis keeps only the points within r of the
+        # center; a radius that leaves the profile large is refused.
+        assert eta_value((20000,) * 3, 3) == math.comb(6, 3)
+        assert gamma_value((2**40, 2), 2) == 8
+        with pytest.raises(BudgetError, match="ball profile needs 3000006000003 products"):
+            eta_value((10**9,) * 3, 10**6)
+
+    def test_cut_profile_matches_the_full_one(self):
+        # These boxes are past the trigger, but their full profiles are cheap.
+        rng = random.Random(7)
+        for dims in [(3, 1700), (2, 5, 1100)]:
+            for _ in range(150):
+                x = tuple(rng.randrange(m) for m in dims)
+                r = rng.randint(0, sum(dims))
+                axes = sorted((m, min(c, m - 1 - c)) for m, c in zip(dims, x))
+                full = _profile(tuple(axes))
+                expected = full[min(r, len(full) - 1)]
+                assert ball_size_at(Grid(dims), x, r).value == expected, (dims, x, r)
 
     def test_negative_radius(self):
         with pytest.raises(DomainError):

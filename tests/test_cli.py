@@ -36,6 +36,24 @@ class TestBallSize:
         assert data["value"] == 8
         assert data["verified"] is True
 
+    def test_large_boxes_answer_at_once(self):
+        # Ball sizes on large boxes cost time in the radius, not in the sides.
+        run = subprocess.run(
+            [sys.executable, "-m", "gridcodes.cli", "ball-size", "--grid",
+             "20000,20000,20000", "--radius", "3", "--kind", "eta", "--verify"],
+            capture_output=True, timeout=30,
+        )
+        assert run.returncode == 0
+        data = json.loads(run.stdout)
+        assert data["value"] == 20 and data["verified"] is True
+        run = subprocess.run(
+            [sys.executable, "-m", "gridcodes.cli", "bounds", "--grid",
+             "1099511627776,2", "--distance", "3"],
+            capture_output=True, timeout=30,
+        )
+        assert run.returncode == 0
+        assert json.loads(run.stdout)["gv_lower_strong"] == 2**41 // 8
+
     def test_at_requires_center(self, capsys):
         code, _, err = run_cli(
             capsys, "ball-size", "--grid", "5,2", "--radius", "2", "--kind", "at"

@@ -34,7 +34,7 @@ from gridcodes.codes import (
     _later_half_ball,
     max_independent_set,
 )
-from gridcodes.grid import CHUNK
+from gridcodes.grid import CHUNK, METRICS
 
 from conftest import random_grid_family
 
@@ -192,6 +192,27 @@ class TestAnalysis:
         assert result.max_distance == {m: hi for m, (_, hi) in extremes.items()}
         analyze(GridCode(code.grid, code.codewords[:1]))
         assert len(calls) == 1
+
+    def test_budget_gates_the_pairwise_scan(self, monkeypatch):
+        # The covering check charges the box's points and then the pairwise
+        # scan C(|C|, 2) pairs, both before the kernel runs.
+        def kernel(grid, points):
+            raise AssertionError("the pairwise kernel ran")
+
+        monkeypatch.setattr(codes, "pairwise_distance_extremes", kernel)
+        box = Grid((150, 100))
+        with pytest.raises(BudgetError, match="full scan of 15000 points, budget is 100$"):
+            analyze(GridCode(box, tuple(box.points())), budget=100)
+        line = Grid((4473,))
+        words = tuple(line.points())
+        with pytest.raises(BudgetError, match="10001628 codeword pairs, budget is 10000000$"):
+            analyze(GridCode(line, words))
+        # C(4472, 2) = 9997156 pairs fit the default budget.
+        monkeypatch.setattr(
+            codes, "pairwise_distance_extremes",
+            lambda grid, points: {metric: (1, 1) for metric in METRICS},
+        )
+        assert analyze(GridCode(line, words[:-1])).min_distance["lee"] == 1
 
     def test_negative_requested_radius(self):
         code = GridCode(Grid((5, 2)), ((0, 0), (4, 1)))
@@ -363,13 +384,30 @@ class TestExactSearch:
         # bound also takes the greedy incumbent of the graph it searched,
         # whose axes are sorted longest first.
         pts, adj = _conflict_graph(Grid((8, 4, 4, 4)), 3, "manhattan")
-        assert lower >= len(_best_incumbent(pts, adj, 4, 3))
+        assert lower >= len(_best_incumbent(pts, adj, 3))
         # A budget of 0 stops at once; a negative one is an error, not an
         # unlimited search.
         with pytest.raises(BudgetError, match="after 0 nodes"):
             exact_max_code(Grid((6, 6, 4)), 3, node_budget=0)
         with pytest.raises(DomainError, match="node budget -1"):
             exact_max_code(Grid((6, 6, 4)), 3, node_budget=-1)
+
+    def test_twin_boxes_stop_alike(self, monkeypatch):
+        # A budget stop depends only on the canonical box: the caller's sides
+        # of 1 and axis order change neither its message nor its bounds.
+        monkeypatch.setattr(codes, "_solved", {})
+
+        def outcome(dims, d, metric):
+            try:
+                return exact_max_code(Grid(dims), d, metric=metric, node_budget=2000)[0]
+            except BudgetError as stop:
+                return str(stop), stop.lower, stop.upper
+
+        twins = [((8, 1, 5, 9), (9, 8, 5), 6, (6, 11)), ((9, 6, 1, 7), (9, 7, 6), 5, (9, 26))]
+        for first, second, d, lee in twins:
+            for metric in METRICS:
+                assert outcome(first, d, metric) == outcome(second, d, metric), (first, metric)
+            assert outcome(first, d, "lee")[1:] == lee
 
     def test_lee_stop_is_capped_by_the_hamming_bound(self):
         # Lee distances never exceed Manhattan ones, so the Hamming bound

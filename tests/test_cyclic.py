@@ -271,7 +271,7 @@ def brute_manhattan(spec):
     """(d_manhattan, delta_manhattan, hat_d_manhattan, d_lee, hat_d_lee) over
     all pairs of powers."""
     derived = derive(spec)
-    words = codewords(spec, derived)
+    words = codewords(spec)
     hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
     hat_sides = [derived.hat_sides[i] for i in derived.support]
 
@@ -344,7 +344,7 @@ class TestDifferenceScan:
         derived = derive(spec)
         assert derived.order == 2146
         chain = bound_chain(spec)
-        words = codewords(spec, derived)
+        words = codewords(spec)
         hat_sides = tuple(derived.hat_sides[i] for i in derived.support)
         hats = [cyclic.hat_coordinates(derived, k) for k in range(derived.order)]
         ambient = pairwise_distance_extremes(Grid(spec.orders), words)

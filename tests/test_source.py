@@ -25,6 +25,39 @@ def test_no_library_asserts():
     assert not found, found
 
 
+def _calls(node, scope=()):
+    """Every call under ``node`` with its scope: the innermost function's
+    name, then "except" inside an exception handler of that function."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = (child.name,)
+        elif isinstance(child, ast.ExceptHandler):
+            inner = scope + ("except",)
+        if isinstance(child, ast.Call):
+            yield child, inner
+        yield from _calls(child, inner)
+
+
+def test_budget_errors_come_from_the_gate():
+    # Every budget check goes through errors.check_budget, so the rule and
+    # its message live in one place.  Only the exact search's stops build
+    # their own BudgetError, as they carry proven bounds.
+    allowed = {
+        ("errors.py", "check_budget"),
+        ("codes.py", "stop"),
+        ("codes.py", "exact_max_code", "except"),
+    }
+    found = [
+        f"{path.name}:{call.lineno}"
+        for path, tree in _trees()
+        for call, scope in _calls(tree)
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError"
+        and (path.name, *scope) not in allowed
+    ]
+    assert not found, found
+
+
 def _imports_numpy(node) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
