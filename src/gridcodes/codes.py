@@ -11,15 +11,19 @@ codes under all three metrics, at a node budget deterministically, or at a
 time budget by the clock.  The greedy search adds points in scan order and
 is maximal by construction, which is exactly the (d-1)-covering property.
 
-The covering radius and the greedy scan work on the dense box and compute
-no pairwise distances: the covering radius is the largest value of the
-code's exact L1 distance transform, and the greedy scan clears a
-precomputed stencil of the later half of each chosen point's ball, or else
-its dense distance row, from a mask of free points.  Only ``analyze`` scans
-point pairs, in one call of ``grid.pairwise_distance_extremes`` for all three
-metrics.
-The conflict graph grows its balls one radius at a time over the metric's
-graph on the box, without numpy.
+The covering radius and the greedy scan work on the box and compute no
+pairwise distances.  Each has two paths that give the same answer, and
+``grid.numpy_for`` picks one from the scan's worst-case work.  Without
+numpy, the covering radius is the layer count of a breadth-first search over
+a Python-int bitset of the box, and the greedy scan checks each point against
+the words so far.  With numpy, the covering radius is the largest value of
+the code's exact L1 distance transform on the dense box, and the greedy scan
+clears a precomputed stencil of the later half of each chosen point's ball,
+or else its dense distance row, from a mask of free points.  Only
+``analyze`` scans point pairs, in one call of the pairwise kernel
+``grid._extremes`` for all three metrics, on words that ``GridCode`` has
+already validated.  The conflict graph grows its balls one radius at a time
+over the metric's graph on the box, without numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,8 +44,9 @@ from .grid import (
     DEFAULT_BUDGET,
     Grid,
     Point,
+    _extremes,
     metric_function,
-    pairwise_distance_extremes,
+    numpy_for,
 )
 
 #: Largest grid volume the exact conflict-graph search accepts.
@@ -147,16 +153,42 @@ class CodeAnalysis:
 def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest s such that the s-balls around the codewords cover the grid.
 
-    This is the largest value of the exact L1 distance transform of the code
-    on the dense box (Rosenfeld & Pfaltz 1966).  Starting from 0 at the
-    codewords and diameter + 1 elsewhere, one forward and one backward
+    This is the number of layers of a breadth-first search from the
+    codewords over the grid graph, the largest value of the code's exact L1
+    distance transform.  Without numpy the search holds the reached points
+    as one Python-int bitset in lexicographic order; a layer adds, for each
+    axis and direction, the reached points shifted by the axis's stride,
+    masked to those that do not cross a face.  With numpy, the transform is
+    computed on the dense box (Rosenfeld & Pfaltz 1966): starting from 0 at
+    the codewords and diameter + 1 elsewhere, one forward and one backward
     running minimum per axis, min over i of a[i] + |i - j|, leave every
     point's distance to the nearest codeword: O(n·V) for volume V.
     """
-    import numpy as np
     grid = code.grid
-    check_budget(grid.volume(), budget, "covering radius needs a full scan of {} points")
+    volume = grid.volume()
+    check_budget(volume, budget, "covering radius needs a full scan of {} points")
     far = grid.diameter() + 1
+    # Up to diameter + 1 layers, each of six bitset operations per axis.
+    np = numpy_for(far * grid.n * (volume // 20 + 16))
+    if np is None:
+        strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
+        reached = 0
+        for word in code.codewords:
+            reached |= 1 << sum(map(operator.mul, word, strides))
+        full, radius = (1 << volume) - 1, 0
+        # Per axis, the points whose coordinate is not the last one: a block
+        # of (m - 1)·stride ones repeated every m·stride bits.
+        steps = [
+            (((1 << (m - 1) * s) - 1) * full // ((1 << m * s) - 1), s)
+            for m, s in zip(grid.dims, strides)
+            if m > 1
+        ]
+        while reached != full:
+            grown = reached
+            for lower, s in steps:
+                grown |= (reached & lower) << s | (reached >> s) & lower
+            reached, radius = grown, radius + 1
+        return radius
     dist = np.full(grid.dims, far, dtype=np.int32 if far < 2**31 else np.int64)
     dist[tuple(np.array(code.codewords).T)] = 0
     for axis, m in enumerate(grid.dims):
@@ -186,7 +218,7 @@ def analyze(
     pairs = math.comb(code.size(), 2)
     check_budget(pairs, budget, "pairwise scan needs {} codeword pairs")
     if code.size() >= 2:
-        extremes = pairwise_distance_extremes(grid, code.codewords)
+        extremes = _extremes(grid.dims, code.codewords)
         t = (extremes["manhattan"][0] - 1) // 2
     else:
         # A single word packs balls of any radius; use the largest meaningful one.
@@ -204,7 +236,7 @@ def analyze(
     )
 
 
-def _later_half_ball(dims: tuple[int, ...], r: int):
+def _later_half_ball(np, dims: tuple[int, ...], r: int):
     """The stencil of the lexicographic greedy scan: the later half of the r-ball.
 
     Returns ``(flat, masks)``.  ``flat`` holds the flat box offsets of the
@@ -216,7 +248,6 @@ def _later_half_ball(dims: tuple[int, ...], r: int):
     more offsets than the box has points, or its masks more cells than eight
     dense distance rows take additions (n·V each): the row scan is cheaper then.
     """
-    import numpy as np
     volume = math.prod(dims)
     cols = []
     weight = np.zeros(1, dtype=np.int64)
@@ -253,19 +284,35 @@ def _later_half_ball(dims: tuple[int, ...], r: int):
 def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> GridCode:
     """Maximal code with minimum distance >= distance, built in lexicographic order.
 
-    The scan walks a mask of the box's free points and raises BudgetError
-    when the box holds more than ``budget`` points.  Each chosen point clears
-    the later half of its (distance-1)-ball: a stencil of flat offsets built
-    once (``_later_half_ball``), or its dense distance row when there is none.
+    The scan raises BudgetError when the box holds more than ``budget``
+    points.  Without numpy it checks each point against the words chosen so
+    far, the latest first.  With numpy it walks a mask of the box's free
+    points, and each chosen point clears the later half of its
+    (distance-1)-ball: a stencil of flat offsets built once
+    (``_later_half_ball``), or its dense distance row when there is none.
     """
-    import numpy as np
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     count = grid.volume()
     check_budget(count, budget, "greedy scan needs a mask of {} points")
     # Every distance past the diameter gives the same one-word code.
     distance = min(distance, grid.diameter() + 1)
-    flat, masks = _later_half_ball(grid.dims, distance - 1) or (None, [{}] * grid.n)
+    # The words' radius-t balls are disjoint, and each holds at least its
+    # center and min(t, m - 1) points along each axis, so this bounds the
+    # words each point is checked against.
+    t = (distance - 1) // 2
+    words = count // (1 + sum(min(t, m - 1) for m in grid.dims))
+    np = numpy_for(count * words * (grid.n + 4))
+    if np is None:
+        chosen: list[Point] = []
+        for p in grid.points():
+            for word in reversed(chosen):
+                if sum(map(abs, map(operator.sub, p, word))) < distance:
+                    break
+            else:
+                chosen.append(p)
+        return GridCode._trusted(grid, tuple(chosen))
+    flat, masks = _later_half_ball(np, grid.dims, distance - 1) or (None, [{}] * grid.n)
     strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
     # free[p]: point p is at distance >= distance from every chosen point.
     free = np.ones(count, dtype=bool)

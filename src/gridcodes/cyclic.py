@@ -11,17 +11,21 @@ table of the powers over the refined generators, with axis i weighted by lᵢ
 for the ambient coordinates and by 1 for the refined ones: the pairs at
 power difference j differ by the j-th power, whose Lee weight bounds their
 Manhattan distance, so ``bound_chain`` scans one difference at a time in
-bound order instead of all pairs.
+bound order instead of all pairs.  The scan runs over numpy arrays, or over
+lists of exact ints when ``grid.numpy_for`` finds its worst case cheaper
+than importing numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError, GridCodesError, check_budget
-from .grid import integer
+from .grid import integer, numpy_for
 
 #: Largest cyclic-code order that ``bound_chain``'s power-difference scans
 #: accept by default.
@@ -202,42 +206,81 @@ def _power_extremes(derived: CyclicDerived) -> tuple[int, ...]:
     coordinates, both weighted like the distance.  Differences j <= order/2
     are scanned, one row of all k each, by ascending L for each minimum and
     by descending U for the ambient maximum, until the bound cannot beat the
-    extreme so far.  As in ``grid.pairwise_distance_extremes``, entries are
-    Python ints where int64 could overflow.
+    extreme so far.  Without numpy the table is lists of exact ints, and a
+    row reads, for each axis, s or m̂ - s from a list indexed by the
+    coordinate of k.  With numpy, entries are Python ints where int64 could
+    overflow, as in ``grid.pairwise_distance_extremes``.
     """
-    import numpy as np
     support, order = derived.support, derived.order
-    largest = max(order * max(derived.hat_sides.values()),
-                  sum(derived.spec.orders[i] for i in support))
-    dtype = np.int64 if largest <= np.iinfo(np.int64).max else object
-
-    def column(values):
-        return np.array([values[i] for i in support], dtype=dtype)
-
-    m, ambient = column(derived.hat_sides), column(derived.gcds)
-    table = np.arange(order, dtype=dtype)[:, None] * column(derived.cofactors) % m
-    axis_lee = np.minimum(table, m - table)
     diffs = range(1, order // 2 + 1)
+    np = numpy_for(3 * len(diffs) * order * len(support))
+    if np is None:
+        hats = [derived.hat_sides[i] for i in support]
+        cols = [
+            [k * derived.cofactors[i] % m for k in range(order)]
+            for i, m in zip(support, hats)
+        ]
+        powers = list(zip(*cols))
+        ambient, refined = [derived.gcds[i] for i in support], [1] * len(support)
 
-    def row(j, weights):
-        return (np.abs(table - np.roll(table, -j, axis=0)) * weights).sum(axis=1)
+        def lee_weights(weights):
+            return [
+                sum(w * min(s, m - s) for w, s, m in zip(weights, power, hats))
+                for power in powers
+            ]
+
+        upper = [
+            sum(w * (m - min(s, m - s)) for w, s, m in zip(ambient, power, hats) if s)
+            for power in powers
+        ]
+
+        def row(j, weights):
+            # k + j has coordinate x + s on axis i when x + s < m̂, else
+            # x + s - m̂: a distance of s for the first m̂ - s values of x.
+            steps = (
+                map(([w * s] * (m - s) + [w * (m - s)] * s).__getitem__, col)
+                for w, s, m, col in zip(weights, powers[j], hats, cols)
+            )
+            return functools.reduce(functools.partial(map, operator.add), steps)
+
+        lowest, highest = min, max
+    else:
+        largest = max(order * max(derived.hat_sides.values()),
+                      sum(derived.spec.orders[i] for i in support))
+        dtype = np.int64 if largest <= np.iinfo(np.int64).max else object
+
+        def column(values):
+            return np.array([values[i] for i in support], dtype=dtype)
+
+        m, ambient, refined = column(derived.hat_sides), column(derived.gcds), 1
+        table = np.arange(order, dtype=dtype)[:, None] * column(derived.cofactors) % m
+        axis_lee = np.minimum(table, m - table)
+
+        def lee_weights(weights):
+            return (axis_lee * weights).sum(axis=1).tolist()
+
+        upper = ((np.where(table != 0, m, 0) - axis_lee) * ambient).sum(axis=1).tolist()
+
+        def row(j, weights):
+            return (np.abs(table - np.roll(table, -j, axis=0)) * weights).sum(axis=1)
+
+        lowest, highest = np.min, np.max
 
     def minima(weights):
-        lee = (axis_lee * weights).sum(axis=1).tolist()
+        lee = lee_weights(weights)
         low = math.inf
         for j in sorted(diffs, key=lee.__getitem__):
             if lee[j] >= low:
                 break
-            low = min(low, int(row(j, weights).min()))
+            low = min(low, int(lowest(row(j, weights))))
         return min(lee[1:]), low
 
-    upper = ((np.where(table != 0, m, 0) - axis_lee) * ambient).sum(axis=1).tolist()
     high = 0
     for j in sorted(diffs, key=upper.__getitem__, reverse=True):
         if upper[j] <= high:
             break
-        high = max(high, int(row(j, ambient).max()))
-    return (*minima(ambient), high, *minima(1))
+        high = max(high, int(highest(row(j, ambient))))
+    return (*minima(ambient), high, *minima(refined))
 
 
 def bound_chain(

@@ -4,16 +4,20 @@ Points are plain tuples of ints, which gives structural equality and a
 total lexicographic order for free.  All counts use Python's exact
 integers, so nothing here can silently overflow.
 
-Every distance between many points comes from one numpy kernel, the
-pairwise scan ``pairwise_distance_extremes``, which loads numpy on first use
-and, in one pass over blocks of at most ``CHUNK`` rows, adds each axis's
-|x - y| to the distances of all three metrics at once.  The
+Every distance between many points comes from one kernel, the pairwise
+scan ``_extremes`` behind ``pairwise_distance_extremes``, which adds each
+axis's |x - y| to the distances of all three metrics at once.  The
 covering radius and the greedy scan need no point pairs: they work on the
-dense box, and the exact search's conflict graph grows its balls from the
-metric's graph on the box (see ``codes``).  The cyclic chain reads
+box (see ``codes``), and the exact search's conflict graph grows its balls
+from the metric's graph on the box without numpy.  The cyclic chain reads
 its distances from one table of refined powers weighted by lᵢ (see
 ``cyclic``).  The per-pair functions serve single pairs and are the tests'
 reference for the kernel and the conflict graph.
+
+Each of these four scans has a numpy path and a pure-Python path over exact
+ints that gives the same answer.  ``numpy_for`` picks numpy when it is
+loaded already, or when the scan's worst case would cost more than importing
+it; a fresh process therefore runs small scans without loading numpy.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, check_budget
@@ -35,6 +40,27 @@ METRICS = ("manhattan", "lee", "hamming")
 #: Rows per block of the pairwise scan.  A block holds five CHUNK x points
 #: arrays (three sums and two work buffers): 1020 rows of cells in all.
 CHUNK = 204
+
+#: Steps of a pure-Python scan past which loading numpy pays: see ``numpy_for``.
+#: A step takes 25-60 ns; at this limit the slowest pure path took 0.85-1.2
+#: times as long as ``import numpy`` in a fresh process (about 100 ms; four
+#: runs on a shared 2-core Xeon, Python 3.11, numpy 2.4).
+NUMPY_WORK = 1_800_000
+
+
+def numpy_for(work: int):
+    """The numpy module for a scan of about ``work`` steps, or None.
+
+    Once numpy is loaded its kernels are faster at every size, but loading it
+    costs about 100 ms, so a scan of at most ``NUMPY_WORK`` steps in a process
+    without numpy runs its pure-Python path instead.  Each scan's ``work``
+    bounds its pure path's worst case, layer counts and early exits included.
+    """
+    if work <= NUMPY_WORK and "numpy" not in sys.modules:
+        return None
+    import numpy
+
+    return numpy
 
 
 def integer(value, what: str) -> int:
@@ -178,8 +204,9 @@ def enumerate_ball(
             for c, m in zip(center, grid.dims)
         ]
     elif metric == "lee":
+        # The window c - r .. c + r around the cycle, or the whole side.
         ranges = [
-            [x for x in range(m) if min(abs(x - c), m - abs(x - c)) <= r]
+            range(m) if 2 * r + 1 >= m else sorted((c + k) % m for k in range(-r, r + 1))
             for c, m in zip(center, grid.dims)
         ]
     else:
@@ -192,18 +219,49 @@ def enumerate_ball(
 
 def pairwise_distance_extremes(grid: Grid, points) -> dict[str, tuple[int, int]]:
     """{metric: (min, max)} pairwise distance over a set of at least two
-    points, for every metric in ``METRICS``.
-
-    The one pairwise kernel: numpy takes each axis's |x - y| once for a block
-    of ``CHUNK`` points against every later point and adds it to three sums,
-    as Manhattan |x - y|, Lee min(|x - y|, m - |x - y|) and Hamming
-    min(|x - y|, 1).  Entries are int32s, or int64s or Python ints when the
-    sides sum past int32 or int64."""
-    import numpy as np
+    points, for every metric in ``METRICS``."""
     pts = sorted({grid.require(p) for p in points})
     if len(pts) < 2:
         raise DomainError("minimum distance undefined for fewer than two points")
-    top = sum(grid.dims)
+    return _extremes(grid.dims, pts)
+
+
+def _extremes(dims: tuple[int, ...], pts) -> dict[str, tuple[int, int]]:
+    """The one pairwise kernel, on distinct points of the box ``dims``, at
+    least two of them, that are already validated.
+
+    Each pair's three distances come from one pass over its axes, which adds
+    |x - y| to the Manhattan sum, min(|x - y|, m - |x - y|) to the Lee sum
+    and min(|x - y|, 1) to the Hamming sum.  Without numpy each point is
+    paired with every later point, one axis at a time, over lists of exact
+    ints.  With numpy, each axis's |x - y| is
+    taken once for a block of ``CHUNK`` points against every later point;
+    entries are int32s, or int64s or Python ints when the sides sum past
+    int32 or int64."""
+    # A pair costs about six steps per axis and two for the row's extremes.
+    np = numpy_for((6 * len(dims) + 2) * math.comb(len(pts), 2))
+    if np is None:
+        cols = list(zip(*pts))
+        lows, highs = [], []
+        for i in range(len(pts) - 1):
+            # Row i against every later point, one axis at a time.
+            manhattan = lee = hamming = None
+            for x, col, m in zip(pts[i], cols, dims):
+                diff = [x - y if x > y else y - x for y in col[i + 1 :]]
+                if manhattan is None:
+                    manhattan = diff
+                    lee = [d if d + d <= m else m - d for d in diff]
+                    hamming = list(map(bool, diff))
+                else:
+                    manhattan = list(map(operator.add, manhattan, diff))
+                    lee = [s + (d if d + d <= m else m - d) for s, d in zip(lee, diff)]
+                    hamming = list(map(operator.add, hamming, map(bool, diff)))
+            sums = (manhattan, lee, hamming)
+            lows.append([min(row) for row in sums])
+            highs.append([max(row) for row in sums])
+        pairs = zip(map(min, zip(*lows)), map(max, zip(*highs)))
+        return {metric: (int(lo), int(hi)) for metric, (lo, hi) in zip(METRICS, pairs)}
+    top = sum(dims)
     dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
     arr = np.asarray(pts, dtype=dtype)
     # Every block's three sums and two work buffers are views of one array.
@@ -218,7 +276,7 @@ def pairwise_distance_extremes(grid: Grid, points) -> dict[str, tuple[int, int]]
         manhattan, lee, hamming, diff, tmp = view
         sums = view[:3]
         sums.fill(0)
-        for axis, m in enumerate(grid.dims):
+        for axis, m in enumerate(dims):
             np.subtract(rows[:, axis, None], cols[None, :, axis], out=diff)
             np.abs(diff, out=diff)
             manhattan += diff

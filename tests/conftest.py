@@ -5,7 +5,11 @@ import math
 import random
 
 import numpy as np
+import pytest
 
+import gridcodes.codes
+import gridcodes.cyclic
+import gridcodes.grid
 from gridcodes import Grid, codeword, derive
 
 FAMILY_SEED = 20260823
@@ -18,6 +22,16 @@ CRITERION_LINES = []
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for line in CRITERION_LINES:
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(params=["pure", "numpy"])
+def kernel_path(request, monkeypatch):
+    """Runs a test on each path of the distance kernels.  This process has
+    numpy loaded, so without the patch only the numpy paths would run."""
+    module = None if request.param == "pure" else np
+    for owner in (gridcodes.grid, gridcodes.codes, gridcodes.cyclic):
+        monkeypatch.setattr(owner, "numpy_for", lambda work: module)
+    return request.param
 
 
 def random_grid_family(count=200, max_n=4, max_side=9, max_volume=20000):

@@ -320,10 +320,12 @@ class TestDeterminismAndBudget:
             assert "ball enumeration would scan 16777216 points, budget is 1000" in err
 
 
-# Runs in a fresh interpreter: the closed-form subcommands must leave numpy
-# unloaded, and the first distance scan (cyclic) must load it.
+# Runs in a fresh interpreter: the closed forms and the small scans of a
+# greedy search, analyze and cyclic must leave numpy unloaded, and the first
+# scan past grid.NUMPY_WORK, the covering radius of one word on a line of
+# 10**6 points, must load it.
 NUMPY_FREE_SCRIPT = """
-import contextlib, io, sys
+import contextlib, io, json, sys
 import gridcodes
 from gridcodes.cli import main
 
@@ -342,15 +344,22 @@ run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "at",
 run(["bounds", "--grid", "10,4,4", "--distance", "5"], False)
 run(["bounds", "--grid", "5,2", "--sweep", "5"], False)
 run(["search", "--grid", "4,1,3,2", "--distance", "3", "--mode", "exact"], False)
-run(["cyclic", "--orders", "8,8,8,8", "--generator", "2,2,4,4"], True)
+run(["search", "--grid", "6,6,6", "--distance", "3", "--output", "greedy.json"],
+    False)
+run(["analyze", "--code", "greedy.json", "--covering", "1,2"], False)
+run(["cyclic", "--orders", "8,8,8,8", "--generator", "2,2,4,4"], False)
+run(["cyclic", "--orders", "7,36,60", "--generator", "1,4,54"], False)
+with open("line.json", "w") as fh:
+    json.dump({"dims": [10**6], "codewords": [[0]]}, fh)
+run(["analyze", "--code", "line.json"], True)
 """
 
 
-def test_closed_forms_do_not_load_numpy():
+def test_closed_forms_do_not_load_numpy(tmp_path):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     run = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE_SCRIPT],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert run.returncode == 0, run.stderr

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -6,6 +7,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gridcodes import (
@@ -34,7 +36,7 @@ from gridcodes.codes import (
     _later_half_ball,
     max_independent_set,
 )
-from gridcodes.grid import CHUNK, METRICS
+from gridcodes.grid import CHUNK, METRICS, _extremes, metric_function
 
 from conftest import random_grid_family
 
@@ -55,6 +57,23 @@ def lexicographic_greedy(grid, distance):
         if all(manhattan_distance(grid, p, w) >= distance for w in reversed(code)):
             code.append(p)
     return tuple(code)
+
+
+def bfs_covering_radius(code):
+    """Reference covering radius: a breadth-first search from the codewords,
+    one grid step at a time."""
+    dims = code.grid.dims
+    dist = dict.fromkeys(code.codewords, 0)
+    queue = collections.deque(code.codewords)
+    while queue:
+        p = queue.popleft()
+        for i, m in enumerate(dims):
+            for x in (p[i] - 1, p[i] + 1):
+                q = p[:i] + (x,) + p[i + 1 :]
+                if 0 <= x < m and q not in dist:
+                    dist[q] = dist[p] + 1
+                    queue.append(q)
+    return max(dist.values())
 
 
 def min_distance(grid, words, metric="manhattan"):
@@ -179,11 +198,11 @@ class TestAnalysis:
         # One pass of the pairwise kernel gives all three metrics.
         calls = []
 
-        def counted(grid, points):
+        def counted(dims, points):
             calls.append(len(points))
-            return pairwise_distance_extremes(grid, points)
+            return _extremes(dims, points)
 
-        monkeypatch.setattr(codes, "pairwise_distance_extremes", counted)
+        monkeypatch.setattr(codes, "_extremes", counted)
         code = greedy_code(Grid((9, 8, 10)), 4)
         result = analyze(code)
         assert calls == [code.size()]
@@ -196,10 +215,10 @@ class TestAnalysis:
     def test_budget_gates_the_pairwise_scan(self, monkeypatch):
         # The covering check charges the box's points and then the pairwise
         # scan C(|C|, 2) pairs, both before the kernel runs.
-        def kernel(grid, points):
+        def kernel(dims, points):
             raise AssertionError("the pairwise kernel ran")
 
-        monkeypatch.setattr(codes, "pairwise_distance_extremes", kernel)
+        monkeypatch.setattr(codes, "_extremes", kernel)
         box = Grid((150, 100))
         with pytest.raises(BudgetError, match="full scan of 15000 points, budget is 100$"):
             analyze(GridCode(box, tuple(box.points())), budget=100)
@@ -209,8 +228,8 @@ class TestAnalysis:
             analyze(GridCode(line, words))
         # C(4472, 2) = 9997156 pairs fit the default budget.
         monkeypatch.setattr(
-            codes, "pairwise_distance_extremes",
-            lambda grid, points: {metric: (1, 1) for metric in METRICS},
+            codes, "_extremes",
+            lambda dims, points: {metric: (1, 1) for metric in METRICS},
         )
         assert analyze(GridCode(line, words[:-1])).min_distance["lee"] == 1
 
@@ -267,15 +286,15 @@ class TestGreedy:
         # From radius 3 on, the half ball clipped to |o_i| <= 2 holds more
         # than the box's 9 offsets.
         g = Grid((3, 3))
-        assert len(_later_half_ball(g.dims, 2)[0]) == 6
-        assert _later_half_ball(g.dims, 3) is None
+        assert len(_later_half_ball(np, g.dims, 2)[0]) == 6
+        assert _later_half_ball(np, g.dims, 3) is None
         assert greedy_code(g, 5).codewords == ((0, 0),)
         assert greedy_code(g, 4).codewords == ((0, 0), (2, 2))
         # On a long line the stencil's face masks would outgrow the row scan;
         # on the square the stencil would hold more offsets than the box.
         line, square = Grid((2000,)), Grid((300, 300))
-        assert _later_half_ball(line.dims, 149) is None
-        assert _later_half_ball(square.dims, 399) is None
+        assert _later_half_ball(np, line.dims, 149) is None
+        assert _later_half_ball(np, square.dims, 399) is None
         cases = [(g, d) for d in range(1, 6)] + [(line, 150), (square, 400)]
         scanned = [greedy_code(grid, d) for grid, d in cases]
         monkeypatch.setattr(codes, "_later_half_ball", lambda *a: None)
@@ -299,6 +318,33 @@ class TestGreedy:
     def test_budget(self):
         with pytest.raises(BudgetError, match="budget is 100"):
             greedy_code(Grid((40, 40)), 3, budget=100)
+
+
+class TestBothPaths:
+    """Each distance kernel of ``codes`` gives the same answers on its
+    pure-Python path and its numpy path."""
+
+    def test_greedy_covering_and_analysis(self, kernel_path):
+        rng = random.Random(67)
+        for trial in range(120):
+            n = trial % 5 + 1
+            g = Grid(tuple(rng.randint(1, 7 if n < 4 else 3) for _ in range(n)))
+            pts = list(g.points())
+            one_word = [rng.choice(pts)]
+            several = rng.sample(pts, min(len(pts), rng.randint(2, 6)))
+            for d in sorted({1, 2, rng.randint(1, g.diameter() + 2), g.diameter() + 2}):
+                code = greedy_code(g, d)
+                assert code.codewords == lexicographic_greedy(g, d), (g.dims, d)
+                assert covering_radius(code) == bfs_covering_radius(code), (g.dims, d)
+            for sample in (one_word, several):
+                code = GridCode(g, tuple(sample))
+                result = analyze(code)
+                assert result.covering_radius == bfs_covering_radius(code), g.dims
+                for metric in METRICS if code.size() > 1 else ():
+                    dist = metric_function(metric)
+                    dists = [dist(g, a, b) for a, b in itertools.combinations(sample, 2)]
+                    assert result.min_distance[metric] == min(dists)
+                    assert result.max_distance[metric] == max(dists)
 
 
 class TestExactSearch:

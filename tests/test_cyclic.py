@@ -315,6 +315,22 @@ class TestDifferenceScan:
             checked += 1
         assert even >= 50
 
+    def test_both_paths_against_all_pairs(self, kernel_path):
+        # Exponents of 0 leave axes off the support, as sides of 1 do.
+        rng = random.Random(71)
+        specs = [CyclicCodeSpec((3 * 2**64, 5), (2**64, 1))]
+        while len(specs) < 80:
+            n = len(specs) % 5 + 1
+            orders = tuple(rng.randint(2, 12) for _ in range(n))
+            exps = tuple(rng.randrange(m) if rng.random() < 0.7 else 0 for m in orders)
+            if any(exps) and derive(CyclicCodeSpec(orders, exps)).order <= 200:
+                specs.append(CyclicCodeSpec(orders, exps))
+        for spec in specs:
+            chain = bound_chain(spec)
+            assert chain_manhattan(chain) == brute_manhattan(spec), spec
+            hamming = (chain.d_hamming, chain.delta_hamming)
+            assert hamming == power_support_extremes(spec), spec
+
     def test_one_component(self):
         for m in range(2, 41):
             for e in range(1, m):

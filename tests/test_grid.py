@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,24 @@ class TestEnumerateBall:
             ]
             assert got == want
 
+    def test_lee_window(self):
+        # Each axis keeps its window c - r .. c + r around the cycle, built
+        # without a scan of the side.
+        rng = random.Random(13)
+        for _ in range(300):
+            g = Grid(tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 3))))
+            center = tuple(rng.randrange(m) for m in g.dims)
+            r = rng.randrange(8)
+            want = [p for p in g.points() if lee_distance(g, center, p) <= r]
+            assert enumerate_ball(g, BallSpec(center, r), "lee") == want
+        side = 10**7
+        start = time.perf_counter()
+        ball = enumerate_ball(Grid((side,)), BallSpec((0,), 1), "lee", budget=100)
+        assert ball == [(0,), (1,), (side - 1,)]
+        ball = enumerate_ball(Grid((3, side)), BallSpec((1, side - 1), 1), "lee", budget=100)
+        assert ball == [(0, side - 1), (1, 0), (1, side - 2), (1, side - 1), (2, side - 1)]
+        assert time.perf_counter() - start < 1
+
     def test_budget(self):
         from gridcodes import BudgetError
 
@@ -185,6 +204,23 @@ class TestPairwiseDistances:
                 dist = metric_function(metric)
                 dists = [dist(g, a, b) for a, b in itertools.combinations(pts, 2)]
                 assert got[metric] == (min(dists), max(dists)), metric
+
+    def test_both_paths_match_the_per_pair_metrics(self, kernel_path):
+        rng = random.Random(61)
+        cases = [(Grid((2**62, 1, 2**62)), [(0, 0, 0), (2**62 - 1, 0, 1), (5, 0, 2**61)])]
+        for trial in range(100):
+            g = Grid(tuple(rng.choice((1, 2, 3, 5, 8)) for _ in range(trial % 5 + 1)))
+            pts = list(g.points())
+            if len(pts) >= 2:
+                cases.append((g, rng.sample(pts, rng.randint(2, min(len(pts), 40)))))
+        for g, pts in cases:
+            got = pairwise_distance_extremes(g, pts)
+            assert list(got) == list(METRICS)
+            for metric in METRICS:
+                dist = metric_function(metric)
+                dists = [dist(g, a, b) for a, b in itertools.combinations(pts, 2)]
+                assert got[metric] == (min(dists), max(dists)), (g.dims, metric)
+                assert all(type(v) is int for v in got[metric])
 
     def test_exact_past_int64(self):
         # Sides summing past int32 take int64 entries, and past int64 Python ints.

@@ -25,8 +25,8 @@ def test_no_library_asserts():
     assert not found, found
 
 
-def _calls(node, scope=()):
-    """Every call under ``node`` with its scope: the innermost function's
+def _scoped(node, scope=()):
+    """Every node under ``node`` with its scope: the innermost function's
     name, then "except" inside an exception handler of that function."""
     for child in ast.iter_child_nodes(node):
         inner = scope
@@ -34,9 +34,8 @@ def _calls(node, scope=()):
             inner = (child.name,)
         elif isinstance(child, ast.ExceptHandler):
             inner = scope + ("except",)
-        if isinstance(child, ast.Call):
-            yield child, inner
-        yield from _calls(child, inner)
+        yield child, inner
+        yield from _scoped(child, inner)
 
 
 def test_budget_errors_come_from_the_gate():
@@ -51,8 +50,9 @@ def test_budget_errors_come_from_the_gate():
     found = [
         f"{path.name}:{call.lineno}"
         for path, tree in _trees()
-        for call, scope in _calls(tree)
-        if getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError"
+        for call, scope in _scoped(tree)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError"
         and (path.name, *scope) not in allowed
     ]
     assert not found, found
@@ -66,19 +66,15 @@ def _imports_numpy(node) -> bool:
     return False
 
 
-def test_no_module_level_numpy_import():
-    # numpy is loaded by the functions that scan distances, so importing
-    # gridcodes and computing closed forms never pays for it.  Module level
-    # includes top-level if/try blocks and class bodies.
-    found = []
-    for path, tree in _trees():
-        stack = list(tree.body)
-        while stack:
-            node = stack.pop()
-            if _imports_numpy(node):
-                found.append(f"{path.name}:{node.lineno}")
-            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                stack.extend(ast.iter_child_nodes(node))
+def test_numpy_is_loaded_only_by_numpy_for():
+    # Every scan asks grid.numpy_for whether its work pays for the import, so
+    # importing gridcodes, closed forms and small scans never load numpy.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node, scope in _scoped(tree)
+        if _imports_numpy(node) and (path.name, *scope) != ("grid.py", "numpy_for")
+    ]
     assert not found, found
 
 
