@@ -51,8 +51,8 @@ from .grid import (
 
 #: Largest grid volume the exact conflict-graph search accepts.
 DEFAULT_EXACT_VOLUME = 512
-#: Search nodes the CLI grants an exact search (0.1-0.25 s on the hardest
-#: volume-512 grids).
+#: Search nodes the CLI grants an exact search (0.05-0.07 s on the hardest
+#: volume-512 grids on an idle core).
 DEFAULT_NODE_BUDGET = 10**5
 #: Completed exact searches kept per process; the oldest is dropped first.
 SOLVED_LIMIT = 4096
@@ -340,17 +340,17 @@ def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> Grid
 
 @lru_cache(maxsize=8)
 def _balls(dims: tuple[int, ...], metric: str):
-    """The box's points in lexicographic order, edge cliques and ball rows.
+    """The box's points in lexicographic order, edges and ball rows.
 
     Each metric is the path metric of a graph on the box: the grid graph,
     the torus and the Hamming graph.  Its edges come as cliques along the
-    axis lines: neighbours on a line, plus the wrap-around pair on the
-    torus, or the whole line in the Hamming graph.  ``balls[r][v]`` is the
-    r-ball around point v as a bitset, grown by ``_conflict_graph`` up to
-    the eccentricity.
+    axis lines: ``pairs`` holds the neighbours on a line, plus the
+    wrap-around pair on the torus, and ``lines`` the Hamming graph's lines
+    of more than two points.  ``balls[r][v]`` is the r-ball around point v
+    as a bitset, grown by ``_conflict_graph`` up to the eccentricity.
     """
     volume = math.prod(dims)
-    cliques = []
+    pairs, lines = [], []
     stride = volume
     for m in dims:
         stride //= m
@@ -359,38 +359,42 @@ def _balls(dims: tuple[int, ...], metric: str):
         for top in range(0, volume, m * stride):
             for start in range(top, top + stride):
                 line = range(start, start + m * stride, stride)
-                if metric == "hamming":
-                    cliques.append(line)
+                if metric == "hamming" and m > 2:
+                    lines.append(line)
                 else:
-                    cliques += zip(line, line[1:])
+                    pairs += zip(line, line[1:])
                     if metric == "lee" and m > 2:
-                        cliques.append((line[-1], line[0]))
+                        pairs.append((line[-1], line[0]))
     pts = list(itertools.product(*(range(m) for m in dims)))
-    return pts, cliques, [[1 << v for v in range(volume)]]
+    return pts, (pairs, lines), [[1 << v for v in range(volume)]]
 
 
 def _conflict_graph(grid: Grid, distance: int, metric: str):
     """Vertices are grid points; neighbors are pairs at distance < distance.
 
     Row v is the (distance-1)-ball around v without v.  The r-ball is the
-    union of the (r-1)-balls over the closed neighbourhood, to which each
-    edge clique of ``_balls`` adds the union over its members.
+    union of the (r-1)-balls over the closed neighbourhood: each edge of
+    ``_balls`` adds either end's ball to the other's, and each line adds the
+    union over its members.
     """
-    pts, cliques, balls = _balls(grid.dims, metric)
+    pts, (pairs, lines), balls = _balls(grid.dims, metric)
     while len(balls) < distance:
         prev = balls[-1]
         grown = list(prev)
-        for clique in cliques:
+        for u, w in pairs:
+            grown[u] |= prev[w]
+            grown[w] |= prev[u]
+        for line in lines:
             union = 0
-            for u in clique:
+            for u in line:
                 union |= prev[u]
-            for u in clique:
+            for u in line:
                 grown[u] |= union
         if grown == prev:
             break  # past the eccentricity the balls stop growing
         balls.append(grown)
     top = balls[min(distance, len(balls)) - 1]
-    return pts, [ball ^ (1 << v) for v, ball in enumerate(top)]
+    return pts, [ball ^ bit for ball, bit in zip(top, balls[0])]
 
 
 def _clique_cover(adj: list[int], cand: int) -> list[int]:
@@ -403,14 +407,13 @@ def _clique_cover(adj: list[int], cand: int) -> list[int]:
     """
     cliques = []
     while cand:
-        v = (cand & -cand).bit_length() - 1
-        clique = 1 << v
-        q = cand & adj[v]
+        clique = cand & -cand
+        q = cand & adj[clique.bit_length() - 1]
         while q:
-            u = (q & -q).bit_length() - 1
-            clique |= 1 << u
-            q &= adj[u]
-        cand &= ~clique
+            low = q & -q
+            clique |= low
+            q &= adj[low.bit_length() - 1]
+        cand ^= clique
         cliques.append(clique)
     return cliques
 
@@ -429,25 +432,30 @@ def max_independent_set(
     asks whether an independent set of size c[i+1] + 1 contains vertex i.
     A search node branches on its candidates in increasing order and cuts as
     soon as its size plus the number of candidates, or plus c of the lowest
-    candidate, cannot reach that target.  The scan stops once c[i] reaches
+    candidate, cannot reach that target; a branch that reaches it returns
+    its vertices from the bottom up.  The scan stops once c[i] reaches
     ``upper`` or the size of a greedy clique cover of the whole graph
     (``_clique_cover``), as both bound every independent set.  The result is
     returned sorted.
 
     ``node_budget`` caps the number of search nodes, deterministically;
-    ``time_budget`` caps the wall-clock seconds.  When either runs out in
-    step i, BudgetError is raised with ``best``, the best set found (sorted),
-    ``lower`` = c[i+1], its size, and ``upper`` the smallest of ``upper``,
-    the root cover and c[i+1] plus the size of a clique cover of the prefix
-    {0, ..., i}.  A completed search stores its node count in
-    ``stats["nodes"]`` when ``stats`` is given.
+    ``time_budget`` caps the wall-clock seconds, read every 1024 nodes.
+    When either runs out in step i, BudgetError is raised with ``best``, the
+    best set found (sorted), ``lower`` = c[i+1], its size, and ``upper`` the
+    smallest of ``upper``, the root cover and c[i+1] plus the size of a
+    clique cover of the prefix {0, ..., i}.  A completed search stores its
+    node count in ``stats["nodes"]`` when ``stats`` is given.
     """
     n = len(adj)
     root = len(_clique_cover(adj, (1 << n) - 1))
     upper = root if upper is None else min(upper, root)
     c = [0] * (n + 1)
     best: list[int] = []
+    non = [~row for row in adj]
     deadline = None if time_budget is None else time.monotonic() + time_budget
+    # A node checks the budgets only when the count reaches ``check``.
+    limit = 1 << 63 if node_budget is None else node_budget
+    check = limit if deadline is None else min(limit, 1024)
     nodes = 0
 
     def stop(budget: str):
@@ -459,36 +467,41 @@ def max_independent_set(
         error.lower, error.upper = len(best), min(upper, len(best) + prefix)
         return error
 
-    def found(cand: int, chosen: list[int], need: int) -> bool:
-        """Whether ``need`` more vertices of ``cand`` complete ``chosen``.
-
-        A completed set is kept as ``best``.
-        """
-        nonlocal best, nodes
-        if nodes == node_budget:
-            raise stop("node budget")
+    def found(cand: int, need: int) -> list[int] | None:
+        """``need`` vertices of ``cand`` that are pairwise independent, or None."""
+        nonlocal nodes, check
+        if nodes == check:
+            if nodes == limit:
+                raise stop("node budget")
+            if time.monotonic() > deadline:
+                raise stop(f"{time_budget}s time budget")
+            check = min(limit, nodes + 1024)
         nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise stop(f"{time_budget}s time budget")
         if not need:
-            best = list(chosen)
-            return True
-        while cand.bit_count() >= need:
-            v = (cand & -cand).bit_length() - 1
+            return []
+        count = cand.bit_count()
+        while count >= need:
+            low = cand & -cand
+            v = low.bit_length() - 1
             if c[v] < need:
-                return False
-            cand ^= 1 << v
-            chosen.append(v)
-            if found(cand & ~adj[v], chosen, need - 1):
-                return True
-            chosen.pop()
-        return False
+                return None
+            cand ^= low
+            rest = found(cand & non[v], need - 1)
+            if rest is not None:
+                rest.append(v)
+                return rest
+            count -= 1
+        return None
 
+    later = 0
     for i in range(n - 1, -1, -1):
-        later = (1 << n) - (1 << i + 1)
-        c[i] = c[i + 1] + found(later & ~adj[i], [i], c[i + 1])
+        rest = found(later & non[i], c[i + 1])
+        if rest is not None:
+            best = rest + [i]
+        c[i] = len(best)
         if c[i] == upper:
             break
+        later |= 1 << i
     if stats is not None:
         stats["nodes"] = nodes
     return sorted(best)

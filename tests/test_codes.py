@@ -559,6 +559,43 @@ class TestExactSearch:
                     unsolved += 1
         assert unsolved <= 48
 
+    def test_lee_and_hamming_family_at_fixed_node_budget(self):
+        # The same instances under the torus and the Hamming graph, whose
+        # balls grow through wrap-around pairs and whole lines; the counts
+        # may only go down.
+        unsolved = collections.Counter()
+        for dims in sorted(set(random_grid_family())):
+            if math.prod(dims) > 512:
+                continue
+            grid = Grid(dims)
+            for metric in ("lee", "hamming"):
+                for d in range(1, grid.diameter() + 2):
+                    try:
+                        exact_max_code(grid, d, metric=metric, node_budget=20_000)
+                    except BudgetError:
+                        unsolved[metric] += 1
+        assert unsolved["lee"] <= 82 and unsolved["hamming"] == 0
+
+    def test_search_tree_is_pinned(self, monkeypatch):
+        # Node totals of the searches behind every family grid of volume
+        # <= 96, each d, each metric.  Any change to the cuts or to the
+        # branching order moves them.
+        monkeypatch.setattr(codes, "_solved", {})
+        for dims in sorted(set(random_grid_family())):
+            if math.prod(dims) > 96:
+                continue
+            grid = Grid(dims)
+            for metric in METRICS:
+                for d in range(1, grid.diameter() + 2):
+                    exact_max_code(grid, d, metric=metric)
+        totals = {metric: [0, 0] for metric in METRICS}
+        for (_, _, metric), (_, nodes) in codes._solved.items():
+            totals[metric][0] += 1
+            totals[metric][1] += nodes
+        assert totals == {
+            "manhattan": [298, 28_989], "lee": [416, 660_284], "hamming": [416, 2_889],
+        }
+
 
 def exhaustive_independent_set(adj):
     """Reference maximum independent set: plain two-way branching, no bounds."""

@@ -1,0 +1,35 @@
+import importlib.util
+import re
+from pathlib import Path
+
+from gridcodes import codes
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frontier_lists_each_open_instance(monkeypatch, capsys):
+    # Each node budget lists the instances it leaves open with their
+    # intervals, a larger budget only some of those, and the clock a count.
+    monkeypatch.setattr(codes, "_solved", {})
+    load("frontier").main(["--metric", "manhattan", "--nodes", "1000", "100", "--seconds", "0.001"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1421 instances"
+    listed = {}
+    for nodes in (100, 1000):
+        count = int(re.fullmatch(rf"manhattan at {nodes} nodes: (\d+) open", lines[1])[1])
+        listed[nodes] = lines[2 : 2 + count]
+        del lines[1 : 2 + count]
+        for line in listed[nodes]:
+            lower, upper = map(int, re.fullmatch(r"  \(.*\) d=\d+: (\d+) <= A <= (\d+)", line).groups())
+            assert lower < upper
+    stopped = {line.split(":")[0] for line in listed[100]}
+    assert 0 < len(listed[1000]) < len(listed[100])
+    assert {line.split(":")[0] for line in listed[1000]} <= stopped
+    assert re.fullmatch(r"manhattan at 0.001 s: \d+ open", lines[1]) and len(lines) == 2
