@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import operator
-import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -172,9 +171,11 @@ def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     np = numpy_for(far * grid.n * (volume // 20 + 16))
     if np is None:
         strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
-        reached = 0
+        start = bytearray(volume // 8 + 1)  # the codewords' bits, little-endian
         for word in code.codewords:
-            reached |= 1 << sum(map(operator.mul, word, strides))
+            flat = sum(map(operator.mul, word, strides))
+            start[flat >> 3] |= 1 << (flat & 7)
+        reached = int.from_bytes(start, "little")
         full, radius = (1 << volume) - 1, 0
         # Per axis, the points whose coordinate is not the last one: a block
         # of (m - 1)·stride ones repeated every m·stride bits.
@@ -511,32 +512,20 @@ def _best_incumbent(pts, adj, distance: int) -> list[int]:
     """Strongest cheap independent set: greedy over several scan orders.
 
     Besides the plain lexicographic scan, points are grouped by weighted
-    congruence classes (which recovers lattice-like packings) and by a few
-    seeded shuffles.
+    congruence classes, which recovers lattice-like packings.
     """
-    count, n_coords = len(pts), len(pts[0])
-    orders = [list(range(count))]
-    moduli = sorted({distance, distance + 1, 2 * distance - 1})
-    dots = [
-        [sum(a * b for a, b in zip(weights, p)) for p in pts]
-        for weights in (range(1, n_coords + 1), range(n_coords, 0, -1))
-    ]
-    for q in moduli:
-        if q < 2:
-            continue
+    count, n = len(pts), len(pts[0])
+    weights = (range(1, n + 1), range(n, 0, -1))
+    dots = [[sum(map(operator.mul, w, p)) for p in pts] for w in weights]
+    orders = [range(count)]
+    for q in sorted({distance, distance + 1, 2 * distance - 1}):
         for dot in dots:
             # The points are in lexicographic order, so the stable sort
             # breaks residue ties by point.
             orders.append(sorted(range(count), key=lambda i, d=dot: d[i] % q))
-    rng = random.Random(0)
-    for _ in range(3):
-        shuffled = list(range(count))
-        rng.shuffle(shuffled)
-        orders.append(shuffled)
     best: list[int] = []
     for order in orders:
-        blocked = 0
-        chosen = []
+        blocked, chosen = 0, []
         for i in order:
             if not blocked >> i & 1:
                 chosen.append(i)
@@ -577,12 +566,12 @@ def exact_max_code(
     completed search is kept per (canonical dims, distance, metric) with its
     node count and serves later calls whose ``node_budget`` is None or at
     least that count, so no budget stop depends on earlier calls.  The grid
-    volume is capped at ``DEFAULT_EXACT_VOLUME``, and the optional node and
-    wall-clock budgets of the search abort with BudgetError, whose message
-    gives the nodes searched and the proven ``lower <= A <= upper``;
-    ``lower`` is at least the best of a few greedy scans
-    (``_best_incumbent``), and a stop whose best set meets ``upper``
-    returns it.  Use greedy_code past these limits.
+    volume is capped at ``DEFAULT_EXACT_VOLUME``.  The optional node and
+    wall-clock budgets stop the search with its BudgetError, whose ``lower``
+    is raised to the best of a few greedy scans (``_best_incumbent``) and
+    whose message then ends in the proven ``lower <= A <= upper``; a stop
+    whose best set meets ``upper`` returns it.  Use greedy_code past these
+    limits.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
@@ -601,44 +590,39 @@ def exact_max_code(
     canon = tuple(dims[a] for a in axes)
     if not canon or (metric == "manhattan" and distance > grid.diameter()):
         return 1, GridCode._trusted(grid, (tuple(0 for _ in dims),))
-    if metric == "manhattan":
-        if len(canon) == 1:
-            size = (canon[0] - 1) // distance + 1
-            words = [(k * distance,) for k in range(size)]
-            return size, GridCode._trusted(grid, _to_axes(words, axes, grid.n))
-        if distance == 2:
-            # The conflict graph is the grid graph, which is bipartite with a
-            # near-perfect matching, so one parity class is optimal.
-            words = tuple(p for p in grid.points() if sum(p) % 2 == 0)
-            return len(words), GridCode._trusted(grid, words)
+    if metric == "manhattan" and distance == 2:
+        # The conflict graph is the grid graph, which is bipartite with a
+        # near-perfect matching, so one parity class is optimal.
+        words = tuple(p for p in grid.points() if sum(p) % 2 == 0)
+        return len(words), GridCode._trusted(grid, words)
     key = (canon, distance, metric)
     hit = _solved.get(key)
-    if hit is not None and (node_budget is None or node_budget >= hit[1]):
+    if metric == "manhattan" and len(canon) == 1:
+        words = [(k * distance,) for k in range((canon[0] - 1) // distance + 1)]
+    elif hit is not None and (node_budget is None or node_budget >= hit[1]):
         words = hit[0]
-        return len(words), GridCode._trusted(grid, _to_axes(words, axes, grid.n))
-    box = Grid(canon)
-    pts, adj = _conflict_graph(box, distance, metric)
-    upper = hamming_bound(box, distance)
-    if metric == "hamming":
-        # Singleton: deleting the d - 1 longest axes keeps the words distinct.
-        upper = min(upper, math.prod(canon[distance - 1:]))
-    stats: dict = {}
-    try:
-        chosen = max_independent_set(
-            adj, upper=upper, time_budget=time_budget, node_budget=node_budget,
-            stats=stats,
-        )
-    except BudgetError as error:
-        incumbent = _best_incumbent(pts, adj, distance)
-        chosen = max(error.best, incumbent, key=len)
-        if len(chosen) < error.upper:
-            stopped = BudgetError(f"{error}: {len(chosen)} <= A <= {error.upper}")
-            stopped.lower, stopped.upper = len(chosen), error.upper
-            raise stopped from None
-        words = [pts[i] for i in chosen]
     else:
-        words = tuple(pts[i] for i in chosen)
-        if len(_solved) >= SOLVED_LIMIT:
-            del _solved[next(iter(_solved))]
-        _solved[key] = (words, stats["nodes"])
+        box = Grid(canon)
+        pts, adj = _conflict_graph(box, distance, metric)
+        upper = hamming_bound(box, distance)
+        if metric == "hamming":
+            # Singleton: deleting the d - 1 longest axes keeps the words distinct.
+            upper = min(upper, math.prod(canon[distance - 1:]))
+        stats: dict = {}
+        try:
+            chosen = max_independent_set(
+                adj, upper=upper, time_budget=time_budget, node_budget=node_budget,
+                stats=stats,
+            )
+        except BudgetError as stop:
+            chosen = max(stop.best, _best_incumbent(pts, adj, distance), key=len)
+            if len(chosen) < stop.upper:
+                stop.best, stop.lower = sorted(chosen), len(chosen)
+                stop.args = (f"{stop}: {stop.lower} <= A <= {stop.upper}",)
+                raise
+        else:
+            if len(_solved) >= SOLVED_LIMIT:
+                del _solved[next(iter(_solved))]
+            _solved[key] = (tuple(pts[i] for i in chosen), stats["nodes"])
+        words = [pts[i] for i in chosen]
     return len(words), GridCode._trusted(grid, _to_axes(words, axes, grid.n))

@@ -11,7 +11,8 @@ covering radius and the greedy scan need no point pairs: they work on the
 box (see ``codes``), and the exact search's conflict graph grows its balls
 from the metric's graph on the box without numpy.  The cyclic chain reads
 its distances from one table of refined powers weighted by lᵢ (see
-``cyclic``).  The per-pair functions serve single pairs and are the tests'
+``cyclic``).  The per-pair functions validate a pair and call the raw
+distance that ``enumerate_ball`` filters with; they are the tests'
 reference for the kernel and the conflict graph.
 
 Each of these four scans has a numpy path and a pure-Python path over exact
@@ -51,10 +52,10 @@ NUMPY_WORK = 1_800_000
 def numpy_for(work: int):
     """The numpy module for a scan of about ``work`` steps, or None.
 
-    Once numpy is loaded its kernels are faster at every size, but loading it
+    Once numpy is loaded every scan uses it, though it is not faster on every
+    input (a small code's covering radius runs 2-4x faster pure).  Loading it
     costs about 100 ms, so a scan of at most ``NUMPY_WORK`` steps in a process
-    without numpy runs its pure-Python path instead.  Each scan's ``work``
-    bounds its pure path's worst case, layer counts and early exits included.
+    without numpy runs its pure-Python path, whose worst case ``work`` bounds.
     """
     if work <= NUMPY_WORK and "numpy" not in sys.modules:
         return None
@@ -148,22 +149,31 @@ class BallSpec:
             raise DomainError(f"radius {self.radius} must be >= 0")
 
 
+def _manhattan(dims, a: Point, b: Point) -> int:
+    return sum(map(abs, map(operator.sub, a, b)))
+
+
+def _lee(dims, a: Point, b: Point) -> int:
+    return sum(min(d, m - d) for d, m in zip(map(abs, map(operator.sub, a, b)), dims))
+
+
+def _hamming(dims, a: Point, b: Point) -> int:
+    return sum(map(operator.ne, a, b))
+
+
 def manhattan_distance(grid: Grid, a: Point, b: Point) -> int:
     """Sum of per-coordinate absolute differences."""
-    a, b = grid.require(a), grid.require(b)
-    return sum(abs(x - y) for x, y in zip(a, b))
+    return _manhattan(grid.dims, grid.require(a), grid.require(b))
 
 
 def lee_distance(grid: Grid, a: Point, b: Point) -> int:
     """Sum of per-coordinate circular distances (wrap-around at dims[i])."""
-    a, b = grid.require(a), grid.require(b)
-    return sum(min(abs(x - y), m - abs(x - y)) for x, y, m in zip(a, b, grid.dims))
+    return _lee(grid.dims, grid.require(a), grid.require(b))
 
 
 def hamming_distance(grid: Grid, a: Point, b: Point) -> int:
     """Number of coordinates where the two points differ."""
-    a, b = grid.require(a), grid.require(b)
-    return sum(1 for x, y in zip(a, b) if x != y)
+    return _hamming(grid.dims, grid.require(a), grid.require(b))
 
 
 _METRIC_FUNCS = {
@@ -171,6 +181,7 @@ _METRIC_FUNCS = {
     "lee": lee_distance,
     "hamming": hamming_distance,
 }
+_RAW = {"manhattan": _manhattan, "lee": _lee, "hamming": _hamming}
 
 
 def metric_function(metric: str):
@@ -192,9 +203,11 @@ def enumerate_ball(
     against.
 
     Returns the points in lexicographic order.  Raises BudgetError when the
-    scan would visit more than ``budget`` points.
+    scan would visit more than ``budget`` points.  The center is validated
+    once; the scanned points lie in the grid by construction.
     """
-    dist = metric_function(metric)
+    metric_function(metric)  # raises the canonical DomainError
+    dist = _RAW[metric]
     center = grid.require(spec.center)
     r = spec.radius
 
@@ -214,7 +227,8 @@ def enumerate_ball(
 
     count = math.prod(len(rng) for rng in ranges)
     check_budget(count, budget, "ball enumeration would scan {} points")
-    return [p for p in itertools.product(*ranges) if dist(grid, center, p) <= r]
+    dims = grid.dims
+    return [p for p in itertools.product(*ranges) if dist(dims, center, p) <= r]
 
 
 def pairwise_distance_extremes(grid: Grid, points) -> dict[str, tuple[int, int]]:
@@ -236,10 +250,12 @@ def _extremes(dims: tuple[int, ...], pts) -> dict[str, tuple[int, int]]:
     paired with every later point, one axis at a time, over lists of exact
     ints.  With numpy, each axis's |x - y| is
     taken once for a block of ``CHUNK`` points against every later point;
-    entries are int32s, or int64s or Python ints when the sides sum past
-    int32 or int64."""
+    entries are int32s, or int64s when the sides sum past int32; past int64
+    the pure path, faster there than numpy's Python ints, runs instead."""
+    top = sum(dims)
     # A pair costs about six steps per axis and two for the row's extremes.
-    np = numpy_for((6 * len(dims) + 2) * math.comb(len(pts), 2))
+    steps = (6 * len(dims) + 2) * math.comb(len(pts), 2)
+    np = None if top >= 2**63 else numpy_for(steps)
     if np is None:
         cols = list(zip(*pts))
         lows, highs = [], []
@@ -261,8 +277,7 @@ def _extremes(dims: tuple[int, ...], pts) -> dict[str, tuple[int, int]]:
             highs.append([max(row) for row in sums])
         pairs = zip(map(min, zip(*lows)), map(max, zip(*highs)))
         return {metric: (int(lo), int(hi)) for metric, (lo, hi) in zip(METRICS, pairs)}
-    top = sum(dims)
-    dtype = np.int32 if top < 2**31 else np.int64 if top < 2**63 else object
+    dtype = np.int32 if top < 2**31 else np.int64
     arr = np.asarray(pts, dtype=dtype)
     # Every block's three sums and two work buffers are views of one array.
     work = np.empty(5 * min(CHUNK, len(pts)) * len(pts), dtype=dtype)

@@ -1,8 +1,10 @@
 """Shared helpers: seeded random families and numpy brute-force oracles."""
 
+import importlib.util
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,15 @@ def kernel_path(request, monkeypatch):
     for owner in (gridcodes.grid, gridcodes.codes, gridcodes.cyclic):
         monkeypatch.setattr(owner, "numpy_for", lambda work: module)
     return request.param
+
+
+def load_tool(name):
+    """The script ``tools/<name>.py`` as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_grid_family(count=200, max_n=4, max_side=9, max_volume=20000):

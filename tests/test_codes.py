@@ -38,7 +38,7 @@ from gridcodes.codes import (
 )
 from gridcodes.grid import CHUNK, METRICS, _extremes, metric_function
 
-from conftest import random_grid_family
+from conftest import load_tool, random_grid_family
 
 
 def per_point_covering_radius(code):
@@ -345,6 +345,11 @@ class TestBothPaths:
                     dists = [dist(g, a, b) for a, b in itertools.combinations(sample, 2)]
                     assert result.min_distance[metric] == min(dists)
                     assert result.max_distance[metric] == max(dists)
+        # Half the points of the 16-cube, so every other point is one flip
+        # away: 32,768 words, whose start set the pure path builds in one pass.
+        g = Grid((2,) * 16)
+        parity = GridCode(g, tuple(p for p in g.points() if sum(p) % 2 == 0))
+        assert covering_radius(parity) == 1
 
 
 class TestExactSearch:
@@ -546,35 +551,21 @@ class TestExactSearch:
 
     def test_criterion_5_family_at_fixed_node_budget(self):
         # The criterion-5 family (volume <= 512) at a fixed node budget, so
-        # the count does not depend on machine load; it may only go down.
-        unsolved = 0
-        for dims in sorted(set(random_grid_family())):
-            if math.prod(dims) > 512:
-                continue
-            grid = Grid(dims)
-            for d in range(1, grid.diameter() + 2):
-                try:
-                    exact_max_code(grid, d, node_budget=20_000)
-                except BudgetError:
-                    unsolved += 1
-        assert unsolved <= 48
+        # the stops do not depend on machine load.  Their count and their
+        # total gap, upper - lower summed over the stops, may only go down.
+        frontier = load_tool("frontier")
+        stops = frontier.open_at(frontier.instances(), "manhattan", node_budget=20_000)
+        assert len(stops) <= 48 and total_gap(stops) <= 935
 
     def test_lee_and_hamming_family_at_fixed_node_budget(self):
         # The same instances under the torus and the Hamming graph, whose
-        # balls grow through wrap-around pairs and whole lines; the counts
-        # may only go down.
-        unsolved = collections.Counter()
-        for dims in sorted(set(random_grid_family())):
-            if math.prod(dims) > 512:
-                continue
-            grid = Grid(dims)
-            for metric in ("lee", "hamming"):
-                for d in range(1, grid.diameter() + 2):
-                    try:
-                        exact_max_code(grid, d, metric=metric, node_budget=20_000)
-                    except BudgetError:
-                        unsolved[metric] += 1
-        assert unsolved["lee"] <= 82 and unsolved["hamming"] == 0
+        # balls grow through wrap-around pairs and whole lines; the Lee
+        # count and gap may only go down, and Hamming has no stop.
+        frontier = load_tool("frontier")
+        family = frontier.instances()
+        stops = frontier.open_at(family, "lee", node_budget=20_000)
+        assert len(stops) <= 82 and total_gap(stops) <= 697
+        assert frontier.open_at(family, "hamming", node_budget=20_000) == []
 
     def test_search_tree_is_pinned(self, monkeypatch):
         # Node totals of the searches behind every family grid of volume
@@ -595,6 +586,11 @@ class TestExactSearch:
         assert totals == {
             "manhattan": [298, 28_989], "lee": [416, 660_284], "hamming": [416, 2_889],
         }
+
+
+def total_gap(stops):
+    """Sum of upper - lower over ``tools/frontier.py`` stops."""
+    return sum(upper - lower for *_, lower, upper in stops)
 
 
 def exhaustive_independent_set(adj):

@@ -223,7 +223,8 @@ class TestPairwiseDistances:
                 assert all(type(v) is int for v in got[metric])
 
     def test_exact_past_int64(self):
-        # Sides summing past int32 take int64 entries, and past int64 Python ints.
+        # Sides summing past int32 take int64 entries, and past int64 the
+        # pure path's Python ints.
         for side in (2**40, 2**62):
             g = Grid((side, side, side))
             pts = [(0, 0, 0), (side - 1, side - 1, side - 1), (1, 0, 0)]

@@ -25,35 +25,29 @@ def test_no_library_asserts():
     assert not found, found
 
 
-def _scoped(node, scope=()):
-    """Every node under ``node`` with its scope: the innermost function's
-    name, then "except" inside an exception handler of that function."""
+def _scoped(node, scope=None):
+    """Every node under ``node`` with the name of its innermost function."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            inner = (child.name,)
-        elif isinstance(child, ast.ExceptHandler):
-            inner = scope + ("except",)
+            inner = child.name
         yield child, inner
         yield from _scoped(child, inner)
 
 
 def test_budget_errors_come_from_the_gate():
     # Every budget check goes through errors.check_budget, so the rule and
-    # its message live in one place.  Only the exact search's stops build
-    # their own BudgetError, as they carry proven bounds.
-    allowed = {
-        ("errors.py", "check_budget"),
-        ("codes.py", "stop"),
-        ("codes.py", "exact_max_code", "except"),
-    }
+    # its message live in one place.  Only the exact search's stop builds
+    # its own BudgetError, as it carries proven bounds; exact_max_code
+    # raises that same error again, with its lower bound raised.
+    allowed = {("errors.py", "check_budget"), ("codes.py", "stop")}
     found = [
         f"{path.name}:{call.lineno}"
         for path, tree in _trees()
         for call, scope in _scoped(tree)
         if isinstance(call, ast.Call)
         and getattr(call.func, "id", getattr(call.func, "attr", None)) == "BudgetError"
-        and (path.name, *scope) not in allowed
+        and (path.name, scope) not in allowed
     ]
     assert not found, found
 
@@ -73,7 +67,7 @@ def test_numpy_is_loaded_only_by_numpy_for():
         f"{path.name}:{node.lineno}"
         for path, tree in _trees()
         for node, scope in _scoped(tree)
-        if _imports_numpy(node) and (path.name, *scope) != ("grid.py", "numpy_for")
+        if _imports_numpy(node) and (path.name, scope) != ("grid.py", "numpy_for")
     ]
     assert not found, found
 

@@ -1,24 +1,15 @@
-import importlib.util
 import re
-from pathlib import Path
 
 from gridcodes import codes
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_tool
 
 
 def test_frontier_lists_each_open_instance(monkeypatch, capsys):
     # Each node budget lists the instances it leaves open with their
     # intervals, a larger budget only some of those, and the clock a count.
     monkeypatch.setattr(codes, "_solved", {})
-    load("frontier").main(["--metric", "manhattan", "--nodes", "1000", "100", "--seconds", "0.001"])
+    load_tool("frontier").main(["--metric", "manhattan", "--nodes", "1000", "100", "--seconds", "0.001"])
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1421 instances"
     listed = {}
