@@ -1,11 +1,15 @@
 """Exact Manhattan ball sizes in a grid.
 
 All ball sizes come from one kernel.  Along an axis of side m, a center at
-offset c has (k <= c) + (k <= m-1-c) points at each distance k >= 1, so the
-product over the axes of 1 + sum_k ((k <= c) + (k <= m-1-c)) z^k counts the
-box by distance from the center, and its prefix sums are the ball sizes at
-every radius.  ``eta`` (corner centers, the smallest balls), ``gamma``
-(central centers, the largest) and ``ball_size_at`` all read from it.
+distances near <= far from its ends has 1 + [k <= near] + [k <= far] points
+at each distance k >= 1: the factor G_near + G_far - 1 with G_L = 1 + z +
+... + z^L.  The product over the axes counts the box by distance from the
+center, and its prefix sums are the ball sizes at every radius.  Multiplying
+by G_L takes a difference of two prefix sums, so each axis costs a few passes
+over the product so far, and the list elements built are charged to the
+budget.  ``eta`` (corners, the smallest balls), ``gamma`` (the middle, the
+largest) and ``ball_size_at`` read one stored profile per grid and center;
+past 1% of the budget the profile is cut above the radius instead.
 
 The paper's formulas stay as the reproduction path that the tests compare
 with the kernel: the corner size by inclusion-exclusion over the directions
@@ -129,65 +133,73 @@ def _reduced(dims) -> tuple[int, ...]:
     return tuple(m for m in dims if m > 1)
 
 
-@cache
-def _profile(axes: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
-    """Ball sizes at radii 0, 1, ... until the ball holds the whole box.
+def _cost(axes, top: int) -> int:
+    """List elements that ``_profile(axes, top)`` builds."""
+    length, work = 1, 0
+    for far, near in axes:
+        length = min(length + far, top + 1)
+        work += far + near + 5 * length + 3
+    return work + length
 
-    ``axes`` holds one (side m, offset c) pair per axis with m > 1, where c
-    is the center's distance to the nearer end of the axis.
+
+@cache
+def _profile(axes: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
+    """Ball sizes at radii 0..top, fewer once the ball holds the whole box.
+
+    ``axes`` holds one (far, near) pair per axis of side > 1: the center's
+    distances to the two ends of the axis; cutting them to ``top`` saves work.
     """
+    check_budget(_cost(axes, top), DEFAULT_BUDGET, "ball profile needs {} products")
     counts = [1]  # counts[k]: points of the box at distance k from the center
-    for m, c in axes:
-        axis = [1] + [(k <= c) + (k <= m - 1 - c) for k in range(1, m - c)]
-        product = [0] * (len(counts) + len(axis) - 1)
-        for i, a in enumerate(counts):
-            for j, b in enumerate(axis):
-                product[i + j] += a * b
-        counts = product
+    for far, near in axes:
+        w = [0] * far  # w[far + k] = counts[0] + ... + counts[k - 1]
+        w += itertools.accumulate(counts, initial=0)
+        w += [w[-1]] * (min(len(counts) + far, top + 1) - len(counts))
+        # times G_far + G_near - 1: counts[k - far..k] + counts[k - near..k - 1]
+        counts = [a + b - x - y for a, b, x, y
+                  in zip(w[far + 1:], w[far:], w[far - near:], w)]
     return tuple(itertools.accumulate(counts))
 
 
-def _ball(dims, center, r: int) -> int:
-    """Size of the radius-r ball around ``center`` in the box ``dims``.
+@cache
+def _sizes(dims: tuple[int, ...], center: tuple[int, ...] | None):
+    """Sorted (far, near) axes around ``center`` (None: the middle); their profile if short."""
+    center = center or [(m - 1) // 2 for m in dims]
+    axes = tuple(sorted((m - 1 - c, c) if 2 * c < m else (c, m - 1 - c)
+                        for m, c in zip(dims, center) if m > 1))
+    top = sum(far for far, _ in axes)
+    return axes, _profile(axes, top) if _cost(axes, top) * 100 <= DEFAULT_BUDGET else None
 
-    Reflecting an axis or permuting the axes keeps the ball size, so the
-    cache key is the sorted tuple of (side, distance to the nearer end).  A
-    profile costs up to (axes x longest side)^2 products; past the budget
-    each axis keeps only the points within r of the center, which leaves the
-    sizes up to r alone, and the products of that profile are charged.
-    """
+
+def _ball(dims, center, r: int) -> int:
+    """Size of the radius-r ball around ``center``; a long profile is cut at
+    a power of two t > r, each axis keeping its points within t of the center."""
     if r < 0:
         return 0
-    axes = sorted((m, min(c, m - 1 - c)) for m, c in zip(dims, center) if m > 1)
-    if axes and (len(axes) * axes[-1][0]) ** 2 > DEFAULT_BUDGET:
-        axes = sorted((min(c, r) + min(m - 1 - c, r) + 1, min(c, r)) for m, c in axes)
-        lengths = itertools.accumulate((m - c - 1 for m, c in axes), initial=1)
-        work = sum(k * (m - c) for k, (m, c) in zip(lengths, axes))
-        check_budget(work, DEFAULT_BUDGET, "ball profile needs {} products")
-    sizes = _profile(tuple(axes))
+    axes, sizes = _sizes(tuple(dims), center)
+    if sizes is None:  # a sweep over r builds few profiles
+        t = 1 << r.bit_length()
+        sizes = _profile(tuple((min(f, t), min(n, t)) for f, n in axes), t)
     return sizes[min(r, len(sizes) - 1)]
 
 
 def eta_value(dims, r: int) -> int:
     """Minimum radius-r ball size over all centers: the size at a corner."""
-    return _ball(dims, [0] * len(dims), r)
+    return _ball(dims, (0,) * len(dims), r)
 
 
 def eta(grid: Grid, r: int) -> BallSizeReport:
     """Exact minimum radius-r ball size over all centers of the grid."""
     if r < 0:
         raise DomainError(f"radius {r} must be >= 0")
-    dims = _reduced(grid.dims)
-    if r >= grid.diameter() or r < min(dims):
-        path = "formula-direct"
-    else:
-        path = "formula-inclusion-exclusion"
+    path = ("formula-direct" if r >= grid.diameter() or r < min(_reduced(grid.dims))
+            else "formula-inclusion-exclusion")
     return BallSizeReport(grid, r, "eta", eta_value(grid.dims, r), path)
 
 
 def gamma_value(dims, r: int) -> int:
     """Maximum radius-r ball size over all centers: the size at the middle."""
-    return _ball(dims, [(m - 1) // 2 for m in dims], r)
+    return _ball(dims, None, r)
 
 
 def gamma(grid: Grid, r: int) -> BallSizeReport:
@@ -209,10 +221,8 @@ def ball_size_at(grid: Grid, x: Point, r: int) -> BallSizeReport:
     x = grid.require(x)
     if r < 0:
         raise DomainError(f"radius {r} must be >= 0")
-    if r == 0 or r >= grid.diameter():
-        path = "formula-direct"
-    else:
-        path = "formula-inclusion-exclusion"
+    path = ("formula-direct" if r == 0 or r >= grid.diameter()
+            else "formula-inclusion-exclusion")
     value = _ball(grid.dims, x, r)
     return BallSizeReport(grid, r, "at-point", value, path, center=x)
 

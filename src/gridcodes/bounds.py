@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .balls import eta_value, gamma_value
 from .errors import DomainError
 from .grid import Grid
 
 
+@cache
 def zn_ball_size(n: int, r: int) -> int:
     """Size of the Manhattan r-ball in Z^n (center-independent)."""
     if n < 1:
@@ -56,15 +58,13 @@ def bound_report(grid: Grid, distance: int) -> BoundReport:
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
     volume = grid.volume()
-    strong = _ceil_div(volume, gamma_value(grid.dims, distance - 1))
-    weak = _ceil_div(volume, zn_ball_size(grid.n, distance - 1))
     return BoundReport(
         grid=grid,
         distance=distance,
         packing_radius=(distance - 1) // 2,
         hamming_upper=hamming_bound(grid, distance),
-        gv_lower_strong=strong,
-        gv_lower_weak=weak,
+        gv_lower_strong=_ceil_div(volume, gamma_value(grid.dims, distance - 1)),
+        gv_lower_weak=_ceil_div(volume, zn_ball_size(grid.n, distance - 1)),
         degenerate=distance > grid.diameter() + 1,
     )
 

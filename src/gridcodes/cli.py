@@ -11,7 +11,6 @@ The GRIDCODES_BUDGET environment variable overrides the enumeration budget
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -92,6 +91,7 @@ def cmd_bounds(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise DomainError(f"--sweep {args.sweep} must be >= 1")
+        import csv  # only the sweep writes CSV; cold processes skip the import
         writer = csv.writer(sys.stdout, lineterminator="\r\n")
         writer.writerow(["d", "gv_weak", "gv_strong", "hamming_upper"])
         for d in range(1, args.sweep + 1):

@@ -21,9 +21,10 @@ from gridcodes import (
     outermost_set,
     simplex_count,
 )
-from gridcodes.balls import _ball_at, _eta, _profile, orthant_subgrid_dims
+from gridcodes import balls
+from gridcodes.balls import _ball_at, _eta, _profile, _sizes, orthant_subgrid_dims
 
-from conftest import enumerate_zn_ball, random_grid_family
+from conftest import ball_size_table, enumerate_zn_ball, random_grid_family
 
 
 def _cube_eta(n, m, r):
@@ -115,24 +116,68 @@ class TestEtaGamma:
         assert gamma(g, 9).value == g.volume()
 
     def test_large_boxes_cost_the_radius(self):
-        # Past the trigger each axis keeps only the points within r of the
-        # center; a radius that leaves the profile large is refused.
+        # A long profile is cut above r: each axis keeps only the points near
+        # the center; a radius that leaves the profile large is refused.
         assert eta_value((20000,) * 3, 3) == math.comb(6, 3)
         assert gamma_value((2**40, 2), 2) == 8
-        with pytest.raises(BudgetError, match="ball profile needs 3000006000003 products"):
+        with pytest.raises(BudgetError, match="ball profile needs 19922969 products"):
             eta_value((10**9,) * 3, 10**6)
+        # The cut is at the power of two above r, so a sweep over r builds
+        # one profile per power of two, not one per radius.
+        _profile.cache_clear()
+        sizes = [gamma_value((20000,) * 3, r) for r in range(300)]
+        assert _profile.cache_info().currsize == 10  # t = 1, 2, 4, ..., 512
+        assert sizes[:3] == [1, 7, 25] and sizes == sorted(sizes)
 
-    def test_cut_profile_matches_the_full_one(self):
-        # These boxes are past the trigger, but their full profiles are cheap.
+    def test_cut_profile_matches_the_full_one(self, monkeypatch):
+        # A budget of 10^5 stores none of these full profiles, but admits
+        # every cut profile these radii need.
         rng = random.Random(7)
+        cases = []
         for dims in [(3, 1700), (2, 5, 1100)]:
             for _ in range(150):
                 x = tuple(rng.randrange(m) for m in dims)
+                axes, full = _sizes(dims, x)
                 r = rng.randint(0, sum(dims))
-                axes = sorted((m, min(c, m - 1 - c)) for m, c in zip(dims, x))
-                full = _profile(tuple(axes))
-                expected = full[min(r, len(full) - 1)]
+                cases.append((dims, x, r, full[min(r, len(full) - 1)]))
+        monkeypatch.setattr(balls, "DEFAULT_BUDGET", 10**5)
+        _sizes.cache_clear()
+        try:
+            for dims, x, r, expected in cases:
                 assert ball_size_at(Grid(dims), x, r).value == expected, (dims, x, r)
+                assert _sizes(dims, x)[1] is None, dims
+        finally:
+            _sizes.cache_clear()
+
+    def test_kernel_matches_the_distance_table(self):
+        # Every center and radius of random small boxes, against the tests'
+        # own numpy oracle; the full and the cut profile both.
+        rng = random.Random(25)
+        for _ in range(40):
+            dims = tuple(rng.randint(1, 7) for _ in range(rng.randint(1, 4)))
+            table = ball_size_table(dims)
+            for i, x in enumerate(Grid(dims).points()):
+                axes, full = _sizes(dims, x)
+                for r in range(table.shape[1]):
+                    assert full[min(r, len(full) - 1)] == table[i, r], (dims, x, r)
+                    assert _profile(axes, r)[-1] == table[i, r], (dims, x, r)
+
+    def test_kernel_matches_windows_on_long_sides(self):
+        # On two axes the ball is a sum of one-dimensional windows, one per
+        # coordinate of the first axis: no code shared with the kernel.
+        rng = random.Random(26)
+        for _ in range(12):
+            m1, m2 = rng.randint(10**3, 10**4), rng.randint(10**3, 10**4)
+            for x1, x2 in [(0, 0), ((m1 - 1) // 2, (m2 - 1) // 2),
+                           (rng.randrange(m1), rng.randrange(m2))]:
+                r = rng.randint(0, m1 + m2)
+                want = sum(
+                    min(x2 + k, m2 - 1) - max(x2 - k, 0) + 1
+                    for t in range(m1) if (k := r - abs(t - x1)) >= 0
+                )
+                got = ball_size_at(Grid((m1, m2)), (x1, x2), r).value
+                assert got == want, (m1, m2, x1, x2, r)
+            assert eta_value((m1, m2), r) <= got <= gamma_value((m1, m2), r)
 
     def test_negative_radius(self):
         with pytest.raises(DomainError):

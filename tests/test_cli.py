@@ -320,10 +320,10 @@ class TestDeterminismAndBudget:
             assert "ball enumeration would scan 16777216 points, budget is 1000" in err
 
 
-# Runs in a fresh interpreter: the closed forms and the small scans of a
-# greedy search, analyze and cyclic must leave numpy unloaded, and the first
-# scan past grid.NUMPY_WORK, the covering radius of one word on a line of
-# 10**6 points, must load it.
+# Runs in a fresh interpreter: importing the CLI must leave csv unloaded, the
+# closed forms and the small scans of a greedy search, analyze and cyclic
+# must leave numpy unloaded, and the first scan past grid.NUMPY_WORK, the
+# covering radius of one word on a line of 10**6 points, must load it.
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import gridcodes
@@ -337,6 +337,8 @@ def run(argv, numpy_loaded):
 
 if "numpy" in sys.modules:
     sys.exit("import gridcodes loaded numpy")
+if "csv" in sys.modules:
+    sys.exit("import gridcodes.cli loaded csv, which only bounds --sweep needs")
 run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "gamma", "--verify"],
     False)
 run(["ball-size", "--grid", "5,2", "--radius", "2", "--kind", "at",
