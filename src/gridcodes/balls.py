@@ -8,8 +8,8 @@ center, and its prefix sums are the ball sizes at every radius.  Multiplying
 by G_L takes a difference of two prefix sums, so each axis costs a few passes
 over the product so far, and the list elements built are charged to the
 budget.  ``eta`` (corners, the smallest balls), ``gamma`` (the middle, the
-largest) and ``ball_size_at`` read one stored profile per grid and center;
-past 1% of the budget the profile is cut above the radius instead.
+largest) and ``ball_size_at`` read a profile kept for the last 4096 grids
+and centers, cut above the radius past 1% of the budget.
 
 The paper's formulas stay as the reproduction path that the tests compare
 with the kernel: the corner size by inclusion-exclusion over the directions
@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import DomainError, check_budget
 from .grid import DEFAULT_BUDGET, BallSpec, Grid, Point, enumerate_ball
@@ -161,7 +161,7 @@ def _profile(axes: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
     return tuple(itertools.accumulate(counts))
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _sizes(dims: tuple[int, ...], center: tuple[int, ...] | None):
     """Sorted (far, near) axes around ``center`` (None: the middle); their profile if short."""
     center = center or [(m - 1) // 2 for m in dims]

@@ -4,8 +4,8 @@ Every subcommand prints one machine-readable payload on stdout (JSON by
 default) and keeps diagnostics on stderr.  Exit codes: 0 success, 2 domain
 error (bad flags or inputs, or a file that cannot be read or written), 3
 resource error (enumeration budget exceeded).
-The GRIDCODES_BUDGET environment variable overrides the enumeration budget
-(10**7) and the exact search's node budget (``codes.DEFAULT_NODE_BUDGET``).
+GRIDCODES_BUDGET overrides the enumeration budget (10**7), which also caps
+the rows of ``bounds --sweep``, and the exact search's node budget.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import balls, bounds, codes, cyclic
-from .errors import BudgetError, DomainError
+from .errors import BudgetError, DomainError, check_budget
 from .grid import DEFAULT_BUDGET, BallSpec, Grid, enumerate_ball, parse_point
 
 EXIT_OK = 0
@@ -91,6 +91,7 @@ def cmd_bounds(args) -> int:
     if args.sweep is not None:
         if args.sweep < 1:
             raise DomainError(f"--sweep {args.sweep} must be >= 1")
+        check_budget(args.sweep, _budget(), "bounds sweep writes {} rows")
         import csv  # only the sweep writes CSV; cold processes skip the import
         writer = csv.writer(sys.stdout, lineterminator="\r\n")
         writer.writerow(["d", "gv_weak", "gv_strong", "hamming_upper"])

@@ -14,16 +14,16 @@ is maximal by construction, which is exactly the (d-1)-covering property.
 The covering radius and the greedy scan work on the box and compute no
 pairwise distances.  Each has two paths that give the same answer, and
 ``grid.numpy_for`` picks one from the scan's worst-case work.  Without
-numpy, the covering radius is the layer count of a breadth-first search over
-a Python-int bitset of the box, and the greedy scan checks each point against
-the words so far.  With numpy, the covering radius is the largest value of
-the code's exact L1 distance transform on the dense box, and the greedy scan
-clears a precomputed stencil of the later half of each chosen point's ball,
-or else its dense distance row, from a mask of free points.  Only
-``analyze`` scans point pairs, in one call of the pairwise kernel
-``grid._extremes`` for all three metrics, on words that ``GridCode`` has
-already validated.  The conflict graph grows its balls one radius at a time
-over the metric's graph on the box, without numpy.
+numpy, both grow balls one grid step at a time on a Python-int bitset of the
+box: the covering radius counts the layers of a breadth-first search from
+the codewords, and the greedy scan clears each word's ball from the free
+points.  With numpy, the covering radius is the largest value of the code's
+exact L1 distance transform on the dense box, and the greedy scan clears a
+stencil of the later half of each word's ball, or else its dense distance
+row, from a mask of free points.  Only ``analyze`` scans point pairs, in one
+call of the pairwise kernel ``grid._extremes`` for all three metrics, on
+words that ``GridCode`` has already validated.  The conflict graph grows its
+balls one radius at a time over the metric's graph on the box, without numpy.
 """
 
 from __future__ import annotations
@@ -149,19 +149,40 @@ class CodeAnalysis:
         }
 
 
+def _box_steps(dims: tuple[int, ...]):
+    """The box as a Python-int bitset in lexicographic order, for the pure scans.
+
+    Returns the strides, the set of all points, and the step that adds to a
+    set its grid neighbours: per axis, the set shifted by the stride both
+    ways, masked to the points off the axis's last face, (m - 1)·stride ones
+    every m·stride bits.
+    """
+    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
+    full = (1 << math.prod(dims)) - 1
+    steps = [(((1 << (m - 1) * s) - 1) * full // ((1 << m * s) - 1), s)
+             for m, s in zip(dims, strides) if m > 1]
+
+    def step(points: int) -> int:
+        grown = points
+        for lower, s in steps:
+            grown |= (points & lower) << s | (points >> s) & lower
+        return grown
+
+    return strides, full, step
+
+
 def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     """Smallest s such that the s-balls around the codewords cover the grid.
 
     This is the number of layers of a breadth-first search from the
     codewords over the grid graph, the largest value of the code's exact L1
     distance transform.  Without numpy the search holds the reached points
-    as one Python-int bitset in lexicographic order; a layer adds, for each
-    axis and direction, the reached points shifted by the axis's stride,
-    masked to those that do not cross a face.  With numpy, the transform is
-    computed on the dense box (Rosenfeld & Pfaltz 1966): starting from 0 at
-    the codewords and diameter + 1 elsewhere, one forward and one backward
-    running minimum per axis, min over i of a[i] + |i - j|, leave every
-    point's distance to the nearest codeword: O(n·V) for volume V.
+    as one Python-int bitset, and a layer is one step of ``_box_steps``.
+    With numpy, the transform is computed on the dense box (Rosenfeld &
+    Pfaltz 1966): starting from 0 at the codewords and diameter + 1
+    elsewhere, one forward and one backward running minimum per axis, min
+    over i of a[i] + |i - j|, leave every point's distance to the nearest
+    codeword: O(n·V) for volume V.
     """
     grid = code.grid
     volume = grid.volume()
@@ -170,25 +191,14 @@ def covering_radius(code: GridCode, budget: int = DEFAULT_BUDGET) -> int:
     # Up to diameter + 1 layers, each of six bitset operations per axis.
     np = numpy_for(far * grid.n * (volume // 20 + 16))
     if np is None:
-        strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
+        strides, full, step = _box_steps(grid.dims)
         start = bytearray(volume // 8 + 1)  # the codewords' bits, little-endian
         for word in code.codewords:
             flat = sum(map(operator.mul, word, strides))
             start[flat >> 3] |= 1 << (flat & 7)
-        reached = int.from_bytes(start, "little")
-        full, radius = (1 << volume) - 1, 0
-        # Per axis, the points whose coordinate is not the last one: a block
-        # of (m - 1)·stride ones repeated every m·stride bits.
-        steps = [
-            (((1 << (m - 1) * s) - 1) * full // ((1 << m * s) - 1), s)
-            for m, s in zip(grid.dims, strides)
-            if m > 1
-        ]
+        reached, radius = int.from_bytes(start, "little"), 0
         while reached != full:
-            grown = reached
-            for lower, s in steps:
-                grown |= (reached & lower) << s | (reached >> s) & lower
-            reached, radius = grown, radius + 1
+            reached, radius = step(reached), radius + 1
         return radius
     dist = np.full(grid.dims, far, dtype=np.int32 if far < 2**31 else np.int64)
     dist[tuple(np.array(code.codewords).T)] = 0
@@ -240,14 +250,14 @@ def analyze(
 def _later_half_ball(np, dims: tuple[int, ...], r: int):
     """The stencil of the lexicographic greedy scan: the later half of the r-ball.
 
-    Returns ``(flat, masks)``.  ``flat`` holds the flat box offsets of the
-    o with |o|_1 <= r and |o_i| <= dims[i] - 1 that lead to a later point;
-    with |o_i| < dims[i] that is exactly the o with a positive flat offset.
-    ``masks[i]`` maps each coordinate c within the stencil's reach of a face
-    of axis i to the offsets that stay inside that axis from c; the other
-    coordinates keep every offset.  Returns None when the stencil would hold
-    more offsets than the box has points, or its masks more cells than eight
-    dense distance rows take additions (n·V each): the row scan is cheaper then.
+    Returns ``(flat, cols)``: the flat box offsets of the o with |o|_1 <= r
+    and |o_i| <= dims[i] - 1 that lead to a later point (with |o_i| <
+    dims[i], exactly the o with a positive flat offset), and per axis i
+    their steps o_i, which reach min(r, dims[i] - 1) either way.  Returns
+    None when the stencil would hold more offsets than the box has points,
+    or its face masks, one per axis and coordinate within that reach of a
+    face, more cells than eight dense distance rows take additions (n·V
+    each): the row scan is cheaper then.
     """
     volume = math.prod(dims)
     cols = []
@@ -264,33 +274,24 @@ def _later_half_ball(np, dims: tuple[int, ...], r: int):
         step = np.arange(total) - np.repeat(np.cumsum(count) - count + reach, count)
         cols = [step] + [col[rep] for col in cols]
         weight = weight[rep] + np.abs(step)
-    strides = [math.prod(dims[i + 1 :]) for i in range(len(dims))]
-    flat = sum(col * stride for col, stride in zip(cols, strides))
+    flat = sum(col * math.prod(dims[i + 1 :]) for i, col in enumerate(cols))
     later = flat > 0
-    cols = [col[later] for col in cols]
-    edges = [int(np.abs(col).max(initial=0)) for col in cols]
-    cells = len(cols[0]) * sum(min(m, 2 * e) for m, e in zip(dims, edges))
-    if cells > 8 * len(dims) * volume:
+    if int(later.sum()) * sum(min(m, 2 * min(r, m - 1)) for m in dims) > 8 * len(dims) * volume:
         return None
-    masks = [
-        {
-            c: (col >= -c) & (col < m - c)
-            for c in itertools.chain(range(min(e, m)), range(max(e, m - e), m))
-        }
-        for col, m, e in zip(cols, dims, edges)
-    ]
-    return flat[later], masks
+    return flat[later], [col[later] for col in cols]
 
 
 def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> GridCode:
     """Maximal code with minimum distance >= distance, built in lexicographic order.
 
     The scan raises BudgetError when the box holds more than ``budget``
-    points.  Without numpy it checks each point against the words chosen so
-    far, the latest first.  With numpy it walks a mask of the box's free
-    points, and each chosen point clears the later half of its
-    (distance-1)-ball: a stencil of flat offsets built once
-    (``_later_half_ball``), or its dense distance row when there is none.
+    points.  The first free point is the next word, and its (distance-1)-ball
+    leaves the free points.  Without numpy these are a Python-int bitset,
+    and each ball grows from its word by steps of ``_box_steps``.  With
+    numpy they are a mask, and each word clears the later half of its ball:
+    a stencil of flat offsets built once (``_later_half_ball``) and masked
+    near the faces, each axis's mask built when a word first needs it, or
+    else its dense distance row.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
@@ -298,45 +299,42 @@ def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> Grid
     check_budget(count, budget, "greedy scan needs a mask of {} points")
     # Every distance past the diameter gives the same one-word code.
     distance = min(distance, grid.diameter() + 1)
-    # The words' radius-t balls are disjoint, and each holds at least its
-    # center and min(t, m - 1) points along each axis, so this bounds the
-    # words each point is checked against.
-    t = (distance - 1) // 2
-    words = count // (1 + sum(min(t, m - 1) for m in grid.dims))
-    np = numpy_for(count * words * (grid.n + 4))
+    # The words' t-balls are disjoint and hold 1 + sum of min(t, m - 1) >= t + 1
+    # points each (d - 1 is at most the diameter), so count/(t + 1) words grow
+    # d - 1 <= 2t + 1 steps each, of n box shifts a step.
+    np = numpy_for(2 * count * grid.n * (count // 20 + 16))
+    r, dims, chosen = distance - 1, grid.dims, []  # chosen: the words' flat indices
     if np is None:
-        chosen: list[Point] = []
-        for p in grid.points():
-            for word in reversed(chosen):
-                if sum(map(abs, map(operator.sub, p, word))) < distance:
-                    break
+        strides, free, step = _box_steps(dims)
+        while free:
+            ball = free & -free
+            chosen.append(ball.bit_length() - 1)
+            for _ in range(r):
+                ball = step(ball)
+            free &= ~ball
+    else:
+        flat, cols = _later_half_ball(np, dims, r) or (None, [None] * grid.n)
+        strides = [math.prod(dims[i + 1 :]) for i in range(grid.n)]
+        # Per axis: stride, side, the stencil's reach and steps, masks by coordinate.
+        axes = [(s, m, min(r, m - 1), col, {}) for s, m, col in zip(strides, dims, cols)]
+        free, p = np.ones(count + 1, dtype=bool), 0  # free points, then a sentinel
+        while p < count:
+            chosen.append(p)
+            if flat is None:
+                gaps = (np.abs(np.arange(m) - p // s % m) for s, m in zip(strides, dims))
+                free[p:count] &= sum(np.ix_(*gaps)).reshape(-1)[p:] > r
             else:
-                chosen.append(p)
-        return GridCode._trusted(grid, tuple(chosen))
-    flat, masks = _later_half_ball(np, grid.dims, distance - 1) or (None, [{}] * grid.n)
-    strides = [math.prod(grid.dims[i + 1 :]) for i in range(grid.n)]
-    # free[p]: point p is at distance >= distance from every chosen point.
-    free = np.ones(count, dtype=bool)
-    chosen: list[Point] = []
-    p = 0
-    while p < count and free[p]:
-        word, rest, keep = [], p, None
-        for stride, axis_masks in zip(strides, masks):
-            c, rest = divmod(rest, stride)
-            word.append(c)
-            mask = axis_masks.get(c)
-            if mask is not None:
-                keep = mask if keep is None else keep & mask
-        chosen.append(tuple(word))
-        if flat is None:
-            gaps = (np.abs(np.arange(m) - c) for m, c in zip(grid.dims, word))
-            free[p:] &= sum(np.ix_(*gaps)).reshape(-1)[p:] >= distance
-        else:
-            free[p + (flat if keep is None else flat[keep])] = False
-        p += 1
-        if p < count:
-            p += int(free[p:].argmax())
-    return GridCode._trusted(grid, tuple(chosen))
+                keep = None
+                for s, m, e, col, masks in axes:
+                    c = p // s % m
+                    if c < e or c >= m - e:
+                        if c not in masks:
+                            masks[c] = (col >= -c) & (col < m - c)
+                        keep = masks[c] if keep is None else keep & masks[c]
+                free[p + (flat if keep is None else flat[keep])] = False
+            p += 1 + int(free[p + 1 :].argmax())
+    words = zip(*([p // s % m for p in chosen] for s, m in zip(strides, dims)))
+    return GridCode._trusted(grid, tuple(words))
 
 
 @lru_cache(maxsize=8)
@@ -556,27 +554,28 @@ def exact_max_code(
 ) -> tuple[int, GridCode]:
     """Exact maximum code size with minimum distance >= distance, plus a witness.
 
-    An unknown ``metric`` or a negative ``node_budget`` is a DomainError
-    before any closed form.  Closed forms handle distance 1, distance 2, one
-    effective dimension, and distances beyond the diameter.  Otherwise ``max_independent_set``
-    searches the conflict graph of the canonical box (sides of 1 dropped,
-    the rest sorted longest first) and stops at ``hamming_bound``, which
-    holds under every metric, lowered to the Singleton bound under the
-    Hamming metric; the witness is mapped back to the caller's axes.  A
-    completed search is kept per (canonical dims, distance, metric) with its
-    node count and serves later calls whose ``node_budget`` is None or at
-    least that count, so no budget stop depends on earlier calls.  The grid
-    volume is capped at ``DEFAULT_EXACT_VOLUME``.  The optional node and
-    wall-clock budgets stop the search with its BudgetError, whose ``lower``
-    is raised to the best of a few greedy scans (``_best_incumbent``) and
-    whose message then ends in the proven ``lower <= A <= upper``; a stop
-    whose best set meets ``upper`` returns it.  Use greedy_code past these
-    limits.
+    An unknown ``metric``, a negative ``node_budget`` or a negative or NaN
+    ``time_budget`` is a DomainError before any closed form.  Closed forms
+    handle distance 1, distance 2, one effective dimension, and distances
+    beyond the diameter.  Otherwise ``max_independent_set`` searches the
+    conflict graph of the canonical box (sides of 1 dropped, the rest sorted
+    longest first) and stops at ``hamming_bound``, which holds under every
+    metric, lowered to the Singleton bound under the Hamming metric; the
+    witness is mapped back to the caller's axes.  A completed search is kept
+    per (canonical dims, distance, metric) with its node count and serves
+    later calls whose ``node_budget`` is None or at least that count, so no
+    budget stop depends on earlier calls.  The grid volume is capped at
+    ``DEFAULT_EXACT_VOLUME``.  The optional node and wall-clock budgets stop
+    the search with its BudgetError, whose ``lower`` is raised to the best
+    of a few greedy scans (``_best_incumbent``) and whose message then ends
+    in the proven ``lower <= A <= upper``; a stop whose best set meets
+    ``upper`` returns it.  Use greedy_code past these limits.
     """
     if distance < 1:
         raise DomainError(f"design distance {distance} must be >= 1")
-    if node_budget is not None and node_budget < 0:
-        raise DomainError(f"node budget {node_budget} must be >= 0")
+    for name, value in (("node", node_budget), ("time", time_budget)):
+        if value is not None and not value >= 0:  # "not >=" also refuses NaN
+            raise DomainError(f"{name} budget {value} must be >= 0")
     metric_function(metric)  # raises the canonical DomainError
     volume = grid.volume()
     what = "exact search needs a conflict graph on {} points"

@@ -149,6 +149,22 @@ class TestEtaGamma:
         finally:
             _sizes.cache_clear()
 
+    def test_center_memo_is_bounded(self):
+        # One query per center of a box of 4590 points fills the memo to its
+        # cap and no further; the centers it drops still get the same sizes.
+        dims = (18, 17, 15)
+        table = ball_size_table(dims)
+        centers = list(Grid(dims).points())
+        _sizes.cache_clear()
+        try:
+            for _ in range(2):
+                for i, x in enumerate(centers):
+                    assert ball_size_at(Grid(dims), x, 5).value == table[i, 5], x
+                info = _sizes.cache_info()
+                assert info.currsize == info.maxsize == 4096
+        finally:
+            _sizes.cache_clear()
+
     def test_kernel_matches_the_distance_table(self):
         # Every center and radius of random small boxes, against the tests'
         # own numpy oracle; the full and the cut profile both.

@@ -101,6 +101,17 @@ class TestBounds:
         assert out == ""
         assert err == f"error: --sweep {top} must be >= 1\n"
 
+    def test_sweep_rows_are_charged_to_the_budget(self, capsys, monkeypatch):
+        # Each row is a bound report, so the rows count against the budget
+        # before the header is written.
+        monkeypatch.setenv("GRIDCODES_BUDGET", "1000")
+        code, out, err = run_cli(capsys, "bounds", "--grid", "5,2", "--sweep", "100000000")
+        assert code == 3
+        assert out == ""
+        assert err == "resource error: bounds sweep writes 100000000 rows, budget is 1000\n"
+        code, out, _ = run_cli(capsys, "bounds", "--grid", "5,2", "--sweep", "1000")
+        assert code == 0 and len(out.split("\r\n")) == 1002
+
 
 class TestSearchAnalyzeRoundTrip:
     def test_round_trip(self, capsys, tmp_path):
@@ -295,6 +306,14 @@ class TestDeterminismAndBudget:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_env_var_below_one(self, capsys, monkeypatch, budget):
+        monkeypatch.setenv("GRIDCODES_BUDGET", budget)
+        code, out, err = run_cli(capsys, "search", "--grid", "3,3", "--distance", "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: GRIDCODES_BUDGET must be a positive integer, got {budget!r}\n"
+
     def test_bad_budget_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("GRIDCODES_BUDGET", "many")
         code, _, err = run_cli(
@@ -321,9 +340,10 @@ class TestDeterminismAndBudget:
 
 
 # Runs in a fresh interpreter: importing the CLI must leave csv unloaded, the
-# closed forms and the small scans of a greedy search, analyze and cyclic
-# must leave numpy unloaded, and the first scan past grid.NUMPY_WORK, the
-# covering radius of one word on a line of 10**6 points, must load it.
+# closed forms and the small scans of a greedy search (up to a 50x50 box at
+# distance 3), analyze and cyclic must leave numpy unloaded, and the first
+# scan past grid.NUMPY_WORK, the covering radius of one word on a line of
+# 10**6 points, must load it.
 NUMPY_FREE_SCRIPT = """
 import contextlib, io, json, sys
 import gridcodes
@@ -348,6 +368,7 @@ run(["bounds", "--grid", "5,2", "--sweep", "5"], False)
 run(["search", "--grid", "4,1,3,2", "--distance", "3", "--mode", "exact"], False)
 run(["search", "--grid", "6,6,6", "--distance", "3", "--output", "greedy.json"],
     False)
+run(["search", "--grid", "50,50", "--distance", "3", "--mode", "greedy"], False)
 run(["analyze", "--code", "greedy.json", "--covering", "1,2"], False)
 run(["cyclic", "--orders", "8,8,8,8", "--generator", "2,2,4,4"], False)
 run(["cyclic", "--orders", "7,36,60", "--generator", "1,4,54"], False)
@@ -362,6 +383,38 @@ def test_closed_forms_do_not_load_numpy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     run = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE_SCRIPT],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+# Runs the argument lists given on stdin through the CLI in one fresh
+# interpreter, and names the first one that loads numpy.
+SESSION_SCRIPT = """
+import contextlib, io, json, sys
+from gridcodes.cli import main
+
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+    if "numpy" in sys.modules:
+        sys.exit(f"{argv} loaded numpy")
+"""
+
+
+def test_benchmark_cli_sessions_do_not_load_numpy(tmp_path, monkeypatch):
+    # The 420 invocations of the benchmark's cli_script(1..20), whose
+    # children's peak memory the cli-sessions workload reports.
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    monkeypatch.syspath_prepend(os.path.abspath(os.path.join(root, "perfbench")))
+    import workloads
+
+    argvs = [argv for seed in range(1, 21) for argv, _ in workloads.cli_script(seed)]
+    assert len(argvs) == 420
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+    env.pop("GRIDCODES_BUDGET", None)
+    run = subprocess.run(
+        [sys.executable, "-c", SESSION_SCRIPT], input=json.dumps(argvs),
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert run.returncode == 0, run.stderr

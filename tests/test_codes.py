@@ -59,6 +59,20 @@ def lexicographic_greedy(grid, distance):
     return tuple(code)
 
 
+def dense_greedy(grid, distance):
+    """Reference greedy scan, one dense distance row per word: each point in
+    lexicographic order joins the code unless an earlier word is closer than
+    distance."""
+    pts = np.array(list(grid.points()))
+    free = np.ones(len(pts), dtype=bool)
+    code = []
+    for i, p in enumerate(pts):
+        if free[i]:
+            code.append(tuple(int(x) for x in p))
+            free &= np.abs(pts - p).sum(axis=1) >= distance
+    return tuple(code)
+
+
 def bfs_covering_radius(code):
     """Reference covering radius: a breadth-first search from the codewords,
     one grid step at a time."""
@@ -319,6 +333,13 @@ class TestGreedy:
         with pytest.raises(BudgetError, match="budget is 100"):
             greedy_code(Grid((40, 40)), 3, budget=100)
 
+    def test_larger_boxes_on_both_paths(self, kernel_path):
+        # Two boxes whose words the pure scan once checked pair by pair, too
+        # slowly to run without numpy, and a long line at a large distance.
+        for dims, d in [((100, 50), 3), ((2,) * 12, 3), ((1000,), 100)]:
+            g = Grid(dims)
+            assert greedy_code(g, d).codewords == dense_greedy(g, d), (dims, d)
+
 
 class TestBothPaths:
     """Each distance kernel of ``codes`` gives the same answers on its
@@ -442,6 +463,12 @@ class TestExactSearch:
             exact_max_code(Grid((6, 6, 4)), 3, node_budget=0)
         with pytest.raises(DomainError, match="node budget -1"):
             exact_max_code(Grid((6, 6, 4)), 3, node_budget=-1)
+        # So is a negative or NaN clock, which would never stop the search,
+        # also where a closed form answers.
+        for seconds in (-1, float("nan")):
+            for d in (3, 1):
+                with pytest.raises(DomainError, match=f"time budget {seconds} "):
+                    exact_max_code(Grid((4, 4, 8, 4)), d, time_budget=seconds)
 
     def test_twin_boxes_stop_alike(self, monkeypatch):
         # A budget stop depends only on the canonical box: the caller's sides
@@ -548,6 +575,30 @@ class TestExactSearch:
         assert exact_max_code(twin, d, node_budget=nodes) == fresh
         assert exact_max_code(twin, d) == fresh
         assert len(searches) == 1
+
+    def test_memo_drops_its_oldest_search(self, monkeypatch):
+        # At the limit a new search drops the oldest one kept, which a later
+        # call searches again, charging its nodes again.
+        monkeypatch.setattr(codes, "_solved", {})
+        monkeypatch.setattr(codes, "SOLVED_LIMIT", 2)
+        first, *rest = [Grid((3, 3)), Grid((4, 3)), Grid((4, 4))]
+        answer = exact_max_code(first, 3)
+        (key, (_, nodes)), = codes._solved.items()
+        for g in rest:
+            exact_max_code(g, 3)
+        assert list(codes._solved) == [((4, 3), 3, "manhattan"), ((4, 4), 3, "manhattan")]
+        searched = []
+        search = codes.max_independent_set
+
+        def counted(*args, **kwargs):
+            result = search(*args, **kwargs)
+            searched.append(kwargs["stats"]["nodes"])
+            return result
+
+        monkeypatch.setattr(codes, "max_independent_set", counted)
+        assert exact_max_code(first, 3) == answer
+        assert searched == [nodes] and nodes > 0
+        assert list(codes._solved) == [((4, 4), 3, "manhattan"), key]
 
     def test_criterion_5_family_at_fixed_node_budget(self):
         # The criterion-5 family (volume <= 512) at a fixed node budget, so

@@ -1,6 +1,8 @@
 import re
 
-from gridcodes import codes
+import pytest
+
+from gridcodes import DomainError, codes
 
 from conftest import load_tool
 
@@ -24,3 +26,10 @@ def test_frontier_lists_each_open_instance(monkeypatch, capsys):
     assert 0 < len(listed[1000]) < len(listed[100])
     assert {line.split(":")[0] for line in listed[1000]} <= stopped
     assert re.fullmatch(r"manhattan at 0.001 s: \d+ open", lines[1]) and len(lines) == 2
+
+
+def test_frontier_refuses_a_clock_that_never_stops(monkeypatch):
+    # --seconds reaches exact_max_code, which refuses a NaN time budget.
+    monkeypatch.setattr(codes, "_solved", {})
+    with pytest.raises(DomainError, match="time budget nan must be >= 0"):
+        load_tool("frontier").main(["--metric", "manhattan", "--nodes", "--seconds", "nan"])
