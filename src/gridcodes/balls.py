@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .errors import DomainError, check_budget
-from .grid import DEFAULT_BUDGET, BallSpec, Grid, Point, enumerate_ball
+from .errors import check_budget
+from .grid import DEFAULT_BUDGET, BallSpec, Grid, Point, enumerate_ball, integer
 
 
 def simplex_count(n: int, r: int) -> int:
@@ -34,8 +34,7 @@ def simplex_count(n: int, r: int) -> int:
 
     Equals sum_{j=0}^{r} C(j+n-1, j); zero for negative r.
     """
-    if n < 1:
-        raise DomainError(f"dimension {n} must be >= 1")
+    n = integer(n, "dimension", 1)
     if r < 0:
         return 0
     return sum(math.comb(j + n - 1, j) for j in range(r + 1))
@@ -142,7 +141,7 @@ def _cost(axes, top: int) -> int:
     return work + length
 
 
-@cache
+@lru_cache(maxsize=4096)
 def _profile(axes: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
     """Ball sizes at radii 0..top, fewer once the ball holds the whole box.
 
@@ -164,6 +163,7 @@ def _profile(axes: tuple[tuple[int, int], ...], top: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _sizes(dims: tuple[int, ...], center: tuple[int, ...] | None):
     """Sorted (far, near) axes around ``center`` (None: the middle); their profile if short."""
+    dims = Grid(dims).dims  # the exported kernels take raw dims
     center = center or [(m - 1) // 2 for m in dims]
     axes = tuple(sorted((m - 1 - c, c) if 2 * c < m else (c, m - 1 - c)
                         for m, c in zip(dims, center) if m > 1))
@@ -174,8 +174,7 @@ def _sizes(dims: tuple[int, ...], center: tuple[int, ...] | None):
 def _ball(dims, center, r: int) -> int:
     """Size of the radius-r ball around ``center``; a long profile is cut at
     a power of two t > r, each axis keeping its points within t of the center."""
-    if r < 0:
-        return 0
+    r = integer(r, "radius", 0)
     axes, sizes = _sizes(tuple(dims), center)
     if sizes is None:  # a sweep over r builds few profiles
         t = 1 << r.bit_length()
@@ -190,8 +189,7 @@ def eta_value(dims, r: int) -> int:
 
 def eta(grid: Grid, r: int) -> BallSizeReport:
     """Exact minimum radius-r ball size over all centers of the grid."""
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
+    r = integer(r, "radius", 0)
     path = ("formula-direct" if r >= grid.diameter() or r < min(_reduced(grid.dims))
             else "formula-inclusion-exclusion")
     return BallSizeReport(grid, r, "eta", eta_value(grid.dims, r), path)
@@ -204,8 +202,7 @@ def gamma_value(dims, r: int) -> int:
 
 def gamma(grid: Grid, r: int) -> BallSizeReport:
     """Exact maximum radius-r ball size over all centers of the grid."""
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
+    r = integer(r, "radius", 0)
     dims = _reduced(grid.dims)
     if not dims or r <= min((m - 1) // 2 for m in dims):
         path = "gamma-trivial-small"
@@ -219,8 +216,7 @@ def gamma(grid: Grid, r: int) -> BallSizeReport:
 def ball_size_at(grid: Grid, x: Point, r: int) -> BallSizeReport:
     """Exact ball size around an arbitrary center, without enumeration."""
     x = grid.require(x)
-    if r < 0:
-        raise DomainError(f"radius {r} must be >= 0")
+    r = integer(r, "radius", 0)
     path = ("formula-direct" if r == 0 or r >= grid.diameter()
             else "formula-inclusion-exclusion")
     value = _ball(grid.dims, x, r)

@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 
 from .balls import eta_value, gamma_value
-from .errors import DomainError
-from .grid import Grid
+from .grid import Grid, integer
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # True must not hit the entry of 1
 def zn_ball_size(n: int, r: int) -> int:
     """Size of the Manhattan r-ball in Z^n (center-independent)."""
-    if n < 1:
-        raise DomainError(f"dimension {n} must be >= 1")
+    n = integer(n, "dimension", 1)
     if r < 0:
         return 0
     return sum(
@@ -55,8 +53,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def bound_report(grid: Grid, distance: int) -> BoundReport:
-    if distance < 1:
-        raise DomainError(f"design distance {distance} must be >= 1")
+    distance = integer(distance, "design distance", 1)
     volume = grid.volume()
     return BoundReport(
         grid=grid,
@@ -75,8 +72,7 @@ def hamming_bound(grid: Grid, distance: int) -> int:
     Lee and Hamming distances never exceed the Manhattan one, so the bound
     holds under all three metrics.
     """
-    if distance < 1:
-        raise DomainError(f"design distance {distance} must be >= 1")
+    distance = integer(distance, "design distance", 1)
     return grid.volume() // eta_value(grid.dims, (distance - 1) // 2)
 
 

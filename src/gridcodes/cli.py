@@ -17,7 +17,7 @@ import sys
 
 from . import balls, bounds, codes, cyclic
 from .errors import BudgetError, DomainError, check_budget
-from .grid import DEFAULT_BUDGET, BallSpec, Grid, enumerate_ball, parse_point
+from .grid import DEFAULT_BUDGET, BallSpec, Grid, enumerate_ball, integer, parse_point
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -89,8 +89,7 @@ def cmd_ball_size(args) -> int:
 def cmd_bounds(args) -> int:
     grid = Grid.parse(args.grid)
     if args.sweep is not None:
-        if args.sweep < 1:
-            raise DomainError(f"--sweep {args.sweep} must be >= 1")
+        integer(args.sweep, "--sweep", 1)
         check_budget(args.sweep, _budget(), "bounds sweep writes {} rows")
         import csv  # only the sweep writes CSV; cold processes skip the import
         writer = csv.writer(sys.stdout, lineterminator="\r\n")

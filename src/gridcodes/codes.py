@@ -44,6 +44,7 @@ from .grid import (
     Grid,
     Point,
     _extremes,
+    integer,
     metric_function,
     numpy_for,
 )
@@ -221,9 +222,7 @@ def analyze(
     requested_covering_radii=(),
     budget: int = DEFAULT_BUDGET,
 ) -> CodeAnalysis:
-    for r in requested_covering_radii:
-        if r < 0:
-            raise DomainError(f"radius {r} must be >= 0")
+    requested_covering_radii = [integer(r, "radius", 0) for r in requested_covering_radii]
     grid = code.grid
     s = covering_radius(code, budget=budget)
     pairs = math.comb(code.size(), 2)
@@ -293,8 +292,7 @@ def greedy_code(grid: Grid, distance: int, budget: int = DEFAULT_BUDGET) -> Grid
     near the faces, each axis's mask built when a word first needs it, or
     else its dense distance row.
     """
-    if distance < 1:
-        raise DomainError(f"design distance {distance} must be >= 1")
+    distance = integer(distance, "design distance", 1)
     count = grid.volume()
     check_budget(count, budget, "greedy scan needs a mask of {} points")
     # Every distance past the diameter gives the same one-word code.
@@ -554,8 +552,8 @@ def exact_max_code(
 ) -> tuple[int, GridCode]:
     """Exact maximum code size with minimum distance >= distance, plus a witness.
 
-    An unknown ``metric``, a negative ``node_budget`` or a negative or NaN
-    ``time_budget`` is a DomainError before any closed form.  Closed forms
+    An unknown ``metric``, a ``node_budget`` that is not an integer >= 0 or a
+    negative or NaN ``time_budget`` is a DomainError before any closed form.  Closed forms
     handle distance 1, distance 2, one effective dimension, and distances
     beyond the diameter.  Otherwise ``max_independent_set`` searches the
     conflict graph of the canonical box (sides of 1 dropped, the rest sorted
@@ -564,24 +562,26 @@ def exact_max_code(
     witness is mapped back to the caller's axes.  A completed search is kept
     per (canonical dims, distance, metric) with its node count and serves
     later calls whose ``node_budget`` is None or at least that count, so no
-    budget stop depends on earlier calls.  The grid volume is capped at
-    ``DEFAULT_EXACT_VOLUME``.  The optional node and wall-clock budgets stop
-    the search with its BudgetError, whose ``lower`` is raised to the best
-    of a few greedy scans (``_best_incumbent``) and whose message then ends
-    in the proven ``lower <= A <= upper``; a stop whose best set meets
-    ``upper`` returns it.  Use greedy_code past these limits.
+    budget stop depends on earlier calls.  The conflict graph's volume is
+    capped at ``DEFAULT_EXACT_VOLUME``, the points a closed form visits at
+    ``DEFAULT_BUDGET``.  The optional node and wall-clock budgets stop the
+    search with its BudgetError, whose ``lower`` is raised to the best of a
+    few greedy scans (``_best_incumbent``) and whose message then ends in the
+    proven ``lower <= A <= upper``; a stop whose best set meets ``upper``
+    returns it.  Use greedy_code past these limits.
     """
-    if distance < 1:
-        raise DomainError(f"design distance {distance} must be >= 1")
-    for name, value in (("node", node_budget), ("time", time_budget)):
-        if value is not None and not value >= 0:  # "not >=" also refuses NaN
-            raise DomainError(f"{name} budget {value} must be >= 0")
+    distance = integer(distance, "design distance", 1)
+    node_budget = None if node_budget is None else integer(node_budget, "node budget", 0)
+    if time_budget is not None and not time_budget >= 0:  # "not >=" also refuses NaN
+        raise DomainError(f"time budget {time_budget} must be >= 0")
     metric_function(metric)  # raises the canonical DomainError
-    volume = grid.volume()
-    what = "exact search needs a conflict graph on {} points"
-    check_budget(volume, DEFAULT_EXACT_VOLUME, what)
-    if distance == 1:
-        return volume, GridCode._trusted(grid, tuple(grid.points()))
+    volume, visited = grid.volume(), "exact closed form visits {} points"
+    if distance == 1 or metric == "manhattan" and distance == 2:
+        # Every point, or under Manhattan distance 2 one parity class: the
+        # conflict graph is the grid graph, bipartite with a near-perfect matching.
+        check_budget(volume, DEFAULT_BUDGET, visited)
+        words = tuple(p for p in grid.points() if sum(p) % distance == 0)
+        return len(words), GridCode._trusted(grid, words)
     dims = grid.dims
     # Longest axis first: every suffix of the lexicographic order is then a
     # slab sub-box plus a partial slab, which keeps the c-vector tight.
@@ -589,18 +589,16 @@ def exact_max_code(
     canon = tuple(dims[a] for a in axes)
     if not canon or (metric == "manhattan" and distance > grid.diameter()):
         return 1, GridCode._trusted(grid, (tuple(0 for _ in dims),))
-    if metric == "manhattan" and distance == 2:
-        # The conflict graph is the grid graph, which is bipartite with a
-        # near-perfect matching, so one parity class is optimal.
-        words = tuple(p for p in grid.points() if sum(p) % 2 == 0)
-        return len(words), GridCode._trusted(grid, words)
     key = (canon, distance, metric)
     hit = _solved.get(key)
     if metric == "manhattan" and len(canon) == 1:
-        words = [(k * distance,) for k in range((canon[0] - 1) // distance + 1)]
+        check_budget(len(range(0, canon[0], distance)), DEFAULT_BUDGET, visited)
+        words = [(k,) for k in range(0, canon[0], distance)]
     elif hit is not None and (node_budget is None or node_budget >= hit[1]):
         words = hit[0]
     else:
+        check_budget(volume, DEFAULT_EXACT_VOLUME,
+                     "exact search needs a conflict graph on {} points")
         box = Grid(canon)
         pts, adj = _conflict_graph(box, distance, metric)
         upper = hamming_bound(box, distance)

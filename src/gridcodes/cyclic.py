@@ -38,12 +38,10 @@ class CyclicCodeSpec:
     generator_exponents: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(integer(m, "component order") for m in self.orders)
+        orders = tuple(integer(m, "component order", 2) for m in self.orders)
         exps = tuple(integer(e, "exponent") for e in self.generator_exponents)
         if not orders:
             raise DomainError("at least one cyclic component is required")
-        if any(m < 2 for m in orders):
-            raise DomainError("every component order must be >= 2")
         if len(exps) != len(orders):
             raise DomainError(
                 f"generator has {len(exps)} exponents, group has {len(orders)} components"
@@ -101,6 +99,7 @@ def _coprime_base(values) -> set[int]:
 
 def codeword(spec: CyclicCodeSpec, k: int) -> tuple[int, ...]:
     """Exponent vector of the k-th power of the generator."""
+    k = integer(k, "power")
     return tuple((e * k) % m for e, m in zip(spec.generator_exponents, spec.orders))
 
 
@@ -139,9 +138,10 @@ def hat_coordinates(derived: CyclicDerived, k: int) -> tuple[int, ...]:
 def codeword_distance(spec: CyclicCodeSpec, k1: int, k2: int) -> int:
     """Exact Manhattan distance between the k1-th and k2-th generator powers."""
     derived = derive(spec)
+    k1, k2 = integer(k1, "power"), integer(k2, "power")
     for k in (k1, k2):
         if not 0 <= k < derived.order:
-            raise DomainError(f"exponent {k} outside [0, {derived.order - 1}]")
+            raise DomainError(f"power {k} outside [0, {derived.order - 1}]")
     a = hat_coordinates(derived, k1)
     b = hat_coordinates(derived, k2)
     return sum(

@@ -64,11 +64,16 @@ def numpy_for(work: int):
     return numpy
 
 
-def integer(value, what: str) -> int:
-    """``value`` as an int: anything ``operator.index`` takes except bool."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise DomainError(f"{what} {value!r} is not an integer")
-    return operator.index(value)
+def integer(value, what: str, low: int | None = None) -> int:
+    """The one check of an integer input: ``value`` as an int, refusing bool,
+    anything ``operator.index`` refuses and, when given, values below ``low``."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise DomainError(f"{what} {value!r} is not an integer")
+        value = operator.index(value)
+    if low is not None and value < low:
+        raise DomainError(f"{what} {value} must be >= {low}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,7 @@ class BallSpec:
     radius: int
 
     def __post_init__(self):
-        if self.radius < 0:
-            raise DomainError(f"radius {self.radius} must be >= 0")
+        object.__setattr__(self, "radius", integer(self.radius, "radius", 0))
 
 
 def _manhattan(dims, a: Point, b: Point) -> int:

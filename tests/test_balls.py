@@ -165,6 +165,28 @@ class TestEtaGamma:
         finally:
             _sizes.cache_clear()
 
+    def test_profile_memo_is_bounded(self):
+        # The centers (x, y) with x < 100 and y < 50 of the 199x99 box have
+        # 5000 distinct (far, near) profiles, so one query each fills the
+        # profile memo to its cap and no further; every size stays exact.
+        m1, m2, r = 199, 99, 5
+
+        def size(x, y):
+            return sum(1 + min(r - abs(dx), y) + min(r - abs(dx), m2 - 1 - y)
+                       for dx in range(-min(r, x), min(r, m1 - 1 - x) + 1))
+
+        grid = Grid((m1, m2))
+        _profile.cache_clear()
+        try:
+            for _ in range(2):
+                for x in range(100):
+                    for y in range(50):
+                        assert ball_size_at(grid, (x, y), r).value == size(x, y), (x, y)
+                info = _profile.cache_info()
+                assert info.currsize == info.maxsize == 4096
+        finally:
+            _profile.cache_clear()
+
     def test_kernel_matches_the_distance_table(self):
         # Every center and radius of random small boxes, against the tests'
         # own numpy oracle; the full and the cut profile both.

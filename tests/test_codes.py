@@ -439,6 +439,23 @@ class TestExactSearch:
         with pytest.raises(BudgetError):
             exact_max_code(Grid((100, 100)), 3)
 
+    def test_closed_forms_pass_the_volume_cap(self):
+        # Only the conflict graph is capped at DEFAULT_EXACT_VOLUME; the
+        # closed forms charge the points they visit to DEFAULT_BUDGET.
+        square = Grid((100, 100))
+        size, code = exact_max_code(square, 2)
+        assert size == 5000
+        assert code.codewords == tuple(p for p in square.points() if sum(p) % 2 == 0)
+        size, code = exact_max_code(Grid((30, 30)), 1)
+        assert size == 900 and code.codewords == tuple(Grid((30, 30)).points())
+        size, code = exact_max_code(Grid((1000,)), 7)
+        assert size == 143 and code.codewords == tuple((k,) for k in range(0, 1000, 7))
+        assert exact_max_code(Grid((30, 30)), 60) == (1, GridCode(Grid((30, 30)), ((0, 0),)))
+        assert exact_max_code(Grid((10**8,)), 10**6)[0] == 100
+        for d in (1, 3):
+            with pytest.raises(BudgetError, match="exact closed form visits"):
+                exact_max_code(Grid((10**8,)), d)
+
     def test_time_budget(self):
         with pytest.raises(BudgetError):
             exact_max_code(Grid((6, 8, 8)), 3, time_budget=0.05)

@@ -1,5 +1,7 @@
+import argparse
 import itertools
 import random
+import re
 import time
 import tracemalloc
 
@@ -10,16 +12,34 @@ from hypothesis import strategies as st
 
 from gridcodes import (
     BallSpec,
+    CyclicCodeSpec,
     DomainError,
     Grid,
+    GridCode,
+    analyze,
+    ball_size_at,
+    bound_report,
+    codeword,
+    codeword_distance,
     enumerate_ball,
+    eta,
+    eta_value,
+    exact_max_code,
+    gamma,
+    gamma_value,
+    greedy_code,
+    hamming_bound,
     hamming_distance,
     lee_distance,
     manhattan_distance,
     pairwise_distance_extremes,
     parse_point,
+    simplex_count,
+    zn_ball_size,
 )
-from gridcodes.grid import CHUNK, METRICS, metric_function
+from gridcodes import balls
+from gridcodes.cli import cmd_bounds
+from gridcodes.grid import CHUNK, METRICS, integer, metric_function
 
 grids = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(
     lambda dims: Grid(tuple(dims))
@@ -82,6 +102,76 @@ class TestGrid:
         assert parse_point("4,1") == (4, 1)
         with pytest.raises(DomainError):
             parse_point("4,")
+
+
+_G = Grid((5, 4))
+_SPEC = CyclicCodeSpec((6, 4), (1, 1))
+_CODE = GridCode(_G, ((0, 0), (4, 3)))
+_SWEEP = dict(grid="5,4", distance=None, format="json")
+
+#: Every integer parameter the library takes: (name in the message, lower
+#: bound, the call with the parameter set to v).
+GATED = [
+    ("radius", 0, lambda v: eta(_G, v)),
+    ("radius", 0, lambda v: gamma(_G, v)),
+    ("radius", 0, lambda v: ball_size_at(_G, (1, 2), v)),
+    ("radius", 0, lambda v: BallSpec((1, 2), v)),
+    ("radius", 0, lambda v: analyze(_CODE, (1, v))),
+    ("radius", 0, lambda v: eta_value(_G.dims, v)),
+    ("radius", 0, lambda v: gamma_value(_G.dims, v)),
+    ("dimension", 1, lambda v: simplex_count(v, 2)),
+    ("dimension", 1, lambda v: zn_ball_size(v, 2)),
+    ("design distance", 1, lambda v: bound_report(_G, v)),
+    ("design distance", 1, lambda v: hamming_bound(_G, v)),
+    ("design distance", 1, lambda v: greedy_code(_G, v)),
+    ("design distance", 1, lambda v: exact_max_code(_G, v)),
+    ("node budget", 0, lambda v: exact_max_code(_G, 2, node_budget=v)),
+    ("component order", 2, lambda v: CyclicCodeSpec((v, 4), (1, 1))),
+    ("power", None, lambda v: codeword(_SPEC, v)),
+    ("power", None, lambda v: codeword_distance(_SPEC, v, 0)),
+    ("power", None, lambda v: codeword_distance(_SPEC, 0, v)),
+    ("--sweep", 1, lambda v: cmd_bounds(argparse.Namespace(sweep=v, **_SWEEP))),
+]
+
+
+@pytest.mark.parametrize("what, low, call", GATED)
+def test_integer_inputs_pass_one_gate(what, low, call):
+    # A valid call first, so that a memo keyed on equal values (True == 1,
+    # 2.0 == 2) is warm.  No report can then hold a bool such as
+    # "radius": true, and no float reaches a kernel.
+    call(2 if low is None else low + 1)
+    for value in (1.5, True, "2"):
+        with pytest.raises(DomainError, match=f"^{re.escape(what)} {value!r} is not an integer$"):
+            call(value)
+    if low is not None:
+        with pytest.raises(DomainError, match=f"^{re.escape(what)} {low - 1} must be >= {low}$"):
+            call(low - 1)
+
+
+def test_integer_gate():
+    assert integer(7, "x") == 7 and integer(7, "x", 7) == 7
+    assert type(integer(np.int64(3), "x", 0)) is int
+    with pytest.raises(DomainError, match="^x -3 must be >= 0$"):
+        integer(np.int8(-3), "x", 0)
+
+
+def test_raw_kernels_check_their_dims():
+    # eta_value((5, 0), 2) answered 3 for an empty box.  The dims are checked
+    # when the memo misses; a tuple equal to a checked one (True == 1,
+    # 5.0 == 5) shares its entry, so the memo starts empty here.
+    balls._sizes.cache_clear()
+    for dims in [(5, 0), (5, -3), (), (5.0, 4), (True, 4)]:
+        for kernel in (eta_value, gamma_value):
+            with pytest.raises(DomainError):
+                kernel(dims, 2)
+
+
+def test_powers_are_integers():
+    # codeword_distance(spec, 1.5, 0) answered 3.0, codeword(spec, 2.5) (2.5, 2.5).
+    assert codeword(_SPEC, np.int64(7)) == codeword(_SPEC, 7) == (1, 3)
+    assert codeword_distance(_SPEC, np.int16(3), 0) == codeword_distance(_SPEC, 3, 0)
+    with pytest.raises(DomainError, match="^power 12 outside"):
+        codeword_distance(_SPEC, 12, 0)
 
 
 class TestMetrics:

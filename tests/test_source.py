@@ -52,6 +52,31 @@ def test_budget_errors_come_from_the_gate():
     assert not found, found
 
 
+def test_lower_bounds_come_from_the_gate():
+    # Every integer input passes grid.integer, which owns the "must be >="
+    # message.  The float time budget and Grid's side loop, whose message
+    # names the coordinate, keep their own checks.
+    allowed = {
+        ("grid.py", "integer"),
+        ("grid.py", "__post_init__"),
+        ("codes.py", "exact_max_code"),
+    }
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node, scope in _scoped(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "DomainError"
+        and any(
+            isinstance(part, ast.Constant) and "must be >=" in str(part.value)
+            for part in ast.walk(node.exc)
+        )
+        and (path.name, scope) not in allowed
+    ]
+    assert not found, found
+
+
 def _imports_numpy(node) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
